@@ -17,16 +17,13 @@
 ///   --cache-dir=D  persist verification results under D and reuse them on
 ///                  later runs (entries are replayed through the proof
 ///                  checker before being trusted; see DESIGN.md)
-///   --shared-dir=D probe/publish the shared L3 artifact store under D (the
-///                  fleet's proof store; hits are replayed before trust
-///                  exactly like L2 hits)
 ///   --no-cache     bypass the result store entirely
 ///   --format=F     `json` prints the ProgramResult as JSON instead of text
 ///                  (with --run, the JSON carries a `run` object with the
 ///                  execution status, return value, and failure message);
-///                  `stable-json` prints only the schedule/topology-
-///                  independent subset, byte-identical across --jobs values
-///                  and fleet topologies; `text` is the default
+///                  `stable-json` prints only the schedule-independent
+///                  subset, byte-identical across --jobs values and
+///                  cache states; `text` is the default
 ///   --run[=fn]     additionally execute `fn` (default main) afterwards
 ///   --connect=SOCK thin-client mode: instead of verifying in-process,
 ///                  send a `check` request to a running `verifyd` on the
@@ -58,9 +55,11 @@
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
 #include "support/Options.h"
+#include "support/Socket.h"
 #include "support/Util.h"
 #include "trace/Export.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,8 +67,6 @@
 #include <memory>
 #include <sstream>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace rcc;
@@ -80,28 +77,14 @@ using namespace rcc;
 /// JSON-lines diagnostics. Exit 0 iff the terminating event reports
 /// all_verified.
 static int runClient(const std::string &Sock) {
-  int Fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  std::string Err;
+  int Fd = net::connectUnix(Sock, &Err);
   if (Fd < 0) {
-    perror("socket");
+    fprintf(stderr, "error: cannot reach verifyd: %s\n", Err.c_str());
     return 2;
   }
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (Sock.size() >= sizeof(Addr.sun_path)) {
-    fprintf(stderr, "error: socket path too long: %s\n", Sock.c_str());
-    close(Fd);
-    return 2;
-  }
-  memcpy(Addr.sun_path, Sock.c_str(), Sock.size() + 1);
-  if (connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
-    fprintf(stderr, "error: cannot connect to verifyd at '%s': %s\n",
-            Sock.c_str(), strerror(errno));
-    close(Fd);
-    return 2;
-  }
-  const char Req[] = "check\n";
-  if (write(Fd, Req, sizeof(Req) - 1) != sizeof(Req) - 1) {
-    perror("write");
+  if (!net::sendLineBlocking(Fd, "check")) {
+    fprintf(stderr, "error: cannot send to verifyd: %s\n", strerror(errno));
     close(Fd);
     return 2;
   }
@@ -113,6 +96,8 @@ static int runClient(const std::string &Sock) {
   bool Done = false;
   while (!Done) {
     ssize_t N = read(Fd, Chunk, sizeof(Chunk));
+    if (N < 0 && errno == EINTR)
+      continue;
     if (N <= 0)
       break;
     Buf.append(Chunk, static_cast<size_t>(N));
@@ -147,7 +132,6 @@ int main(int argc, char **argv) {
   std::string RunFn;
   std::string TraceFile;
   std::string CacheDir;
-  std::string SharedDir;
   std::string ConnectSock;
   std::string Format = "text";
   bool NoCache = false;
@@ -160,7 +144,6 @@ int main(int argc, char **argv) {
             "skip the independent derivation replay")
       .unsignedOpt("jobs", Jobs, "concurrent verification jobs (0 = cores)")
       .strOpt("cache-dir", CacheDir, "persistent result store directory")
-      .strOpt("shared-dir", SharedDir, "shared L3 artifact store directory")
       .flag("no-cache", NoCache, true, "bypass the result store")
       .strOpt("connect", ConnectSock, "thin-client mode: verifyd socket")
       .custom("format",
@@ -245,7 +228,6 @@ int main(int argc, char **argv) {
   Opts.Recheck = Recheck;
   Opts.Jobs = Jobs;
   Opts.CacheDir = CacheDir;
-  Opts.SharedDir = SharedDir;
   Opts.NoCache = NoCache;
   Opts.Trace = TS.get();
   Opts.Profile = Profile;

@@ -122,34 +122,35 @@ grep -q '"event": "shutdown"' "$dout"
 #    empty clear -> shutdown/exit, plus exit-before-shutdown exiting 1).
 scripts/lsp_smoke.sh ./build/examples/rcc-lsp
 
-# 8. Fleet smoke: a real coordinator + two forked workers over a shared L3
-#    store must produce byte-identical stable-json against a single-process
-#    run of the same file — the fleet's drop-in-replacement contract
-#    (DESIGN.md, "Fleet & protocol v2"). One worker is slowed so both
-#    reliably join; all three processes must exit 0. The fleet fault-
-#    injection suite (test_fleet) runs in ctest above and again sanitized
-#    in the ASan/UBSan suite below.
-rm -rf build/check_fleet && mkdir -p build/check_fleet/l3
-./build/examples/verifyd --serve=build/check_fleet/c.sock \
-    --shared-dir=build/check_fleet/l3 --fleet-wait-ms=30000 \
-    --deterministic-trace --format=stable-json examples/demo.c \
-    > build/check_fleet/fleet.json &
-cpid=$!
-sleep 0.2
-./build/examples/verifyd --worker --connect=build/check_fleet/c.sock \
-    --name=smoke-w1 --sleep-ms-per-job=30 > /dev/null &
-w1pid=$!
-./build/examples/verifyd --worker --connect=build/check_fleet/c.sock \
-    --name=smoke-w2 > /dev/null &
-w2pid=$!
-wait $w1pid || { echo "check.sh: fleet worker 1 failed"; exit 1; }
-wait $w2pid || { echo "check.sh: fleet worker 2 failed"; exit 1; }
-wait $cpid || { echo "check.sh: fleet coordinator failed"; exit 1; }
-./build/examples/verify_tool --jobs=4 --deterministic-trace \
-    --format=stable-json examples/demo.c > build/check_fleet/local.json
-cmp build/check_fleet/fleet.json build/check_fleet/local.json || {
-  echo "check.sh: fleet stable-json differs from the single-process run"
-  exit 1; }
+# 8. Shared-cache identity: separate processes share verification work
+#    through one --cache-dir (DESIGN.md, "Sharing one --cache-dir across
+#    processes"). Two cold verify_tool processes (--jobs=1 and --jobs=4)
+#    run at once on one empty directory, then a third, warm process reads
+#    it. All three stable-json outputs must be byte-identical — results
+#    served from the shared store equal a local run — and the warm run must
+#    be served entirely from the directory, every entry replayed.
+rm -rf build/check_shared && mkdir -p build/check_shared
+sdir=build/check_shared/cache
+./build/examples/verify_tool --jobs=1 --cache-dir=$sdir --deterministic-trace \
+    --format=stable-json examples/demo.c > build/check_shared/cold_j1.json &
+p1=$!
+./build/examples/verify_tool --jobs=4 --cache-dir=$sdir --deterministic-trace \
+    --format=stable-json examples/demo.c > build/check_shared/cold_j4.json &
+p4=$!
+wait $p1 || { echo "check.sh: cold --jobs=1 run failed"; exit 1; }
+wait $p4 || { echo "check.sh: cold --jobs=4 run failed"; exit 1; }
+out=$(./build/examples/verify_tool --jobs=4 --cache-dir=$sdir \
+    --deterministic-trace --format=json examples/demo.c)
+echo "$out" | grep -q '"cache_misses": 0' || {
+  echo "check.sh: warm shared-cache run re-verified functions"; exit 1; }
+echo "$out" | grep -q '"replay_failures": 0' || {
+  echo "check.sh: warm shared-cache run had replay failures"; exit 1; }
+./build/examples/verify_tool --jobs=4 --cache-dir=$sdir --deterministic-trace \
+    --format=stable-json examples/demo.c > build/check_shared/warm.json
+cmp build/check_shared/cold_j1.json build/check_shared/cold_j4.json || {
+  echo "check.sh: concurrent cold runs disagree"; exit 1; }
+cmp build/check_shared/cold_j1.json build/check_shared/warm.json || {
+  echo "check.sh: warm shared-cache run differs from the cold runs"; exit 1; }
 
 # 9. ASan/UBSan configuration (trace subsystem, parallel driver, the
 #    result store's deserializer, the daemon, and the LSP framing layer are

@@ -6,7 +6,6 @@
 
 #include "daemon/Daemon.h"
 
-#include "fleet/Protocol.h"
 #include "refinedc/FnHash.h"
 #include "support/Socket.h"
 #include "support/Util.h"
@@ -204,7 +203,10 @@ bool Daemon::verifyRevision(Document &D, const std::string &Source,
   // live until the new one is fully built, so a spec error keeps serving
   // `status` from the previous good revision.
   auto NewChk = std::make_unique<refinedc::Checker>(*NewAP, Diags);
-  NewChk->adoptStoreTiers(L1, L2);
+  std::vector<std::shared_ptr<store::ResultStore>> Persistent;
+  if (L2)
+    Persistent.push_back(L2);
+  NewChk->adoptTierStack(L1, std::move(Persistent));
   if (!NewChk->buildEnv()) {
     D.LastGood = false;
     SourceLoc Loc;
@@ -490,22 +492,6 @@ int Daemon::runStdio(std::istream &In, std::ostream &Out) {
 // Unix-domain-socket transport
 //===----------------------------------------------------------------------===//
 
-namespace {
-/// One connected subscriber: a buffered line transport (net::LineConn owns
-/// partial-write/EPIPE robustness — a dead or wedged client is reaped, and
-/// never takes the daemon down or corrupts another client's stream) plus
-/// its negotiated protocol state. Every connection starts at v1; a
-/// well-formed `hello` upgrades it to v2, after which events carry the v2
-/// envelope with the id of the client's last request.
-struct Client {
-  net::LineConn Conn;
-  unsigned Version = 1;
-  uint64_t ReqId = 0; ///< last v2 request id (echoed on its reply events)
-
-  explicit Client(int Fd) : Conn(Fd) {}
-};
-} // namespace
-
 int Daemon::runSocket(const std::string &SockPath) {
   // Belt and braces: LineConn sends with MSG_NOSIGNAL, but ignore SIGPIPE
   // anyway so no other write path can kill the daemon either.
@@ -518,84 +504,38 @@ int Daemon::runSocket(const std::string &SockPath) {
     return 2;
   }
 
-  std::vector<std::unique_ptr<Client>> Clients;
+  // One buffered line transport per connected subscriber (net::LineConn
+  // owns partial-write/EPIPE robustness — a dead or wedged client is
+  // reaped, and never takes the daemon down or corrupts another client's
+  // stream).
+  std::vector<net::LineConn> Clients;
   // Every event goes to stdout (the daemon's log) and to every connected
   // subscriber — watch revisions broadcast, and a requesting client sees
-  // its own terminating event because it is a subscriber too. The typed
-  // sink renders per client: v1 connections get the exact legacy line, v2
-  // connections the enveloped one.
+  // its own terminating event because it is a subscriber too.
   StructuredSink Broadcast = [&Clients](const Event &E) {
-    std::string V1 = E.toJsonLine();
-    fputs(V1.c_str(), stdout);
+    std::string Line = E.toJsonLine();
+    fputs(Line.c_str(), stdout);
     fputc('\n', stdout);
     fflush(stdout);
     for (auto &C : Clients) {
-      if (C->Conn.dead())
+      if (C.dead())
         continue;
-      C->Conn.sendLine(C->Version >= 2 ? E.toJsonLine(C->Version, C->ReqId)
-                                       : V1);
-      C->Conn.flushWrites();
+      C.sendLine(Line);
+      C.flushWrites();
     }
   };
 
   checkOnce(Broadcast, /*Force=*/true);
 
   bool Stop = false;
-  auto HandleV2 = [&](Client &C, const std::string &Line) {
-    fleet::Msg M;
-    std::string PErr;
-    if (!fleet::parseMsg(Line, M, &PErr)) {
-      C.Conn.sendLine(fleet::ErrorMsg{PErr}.toLine());
-      C.Conn.flushWrites();
-      return;
-    }
-    switch (M.Kind) {
-    case fleet::MsgKind::Hello: {
-      if (M.H.Version != fleet::kProtocolVersion) {
-        C.Conn.sendLine(
-            fleet::ErrorMsg{"protocol version " +
-                            std::to_string(M.H.Version) +
-                            " not supported (daemon speaks " +
-                            std::to_string(fleet::kProtocolVersion) + ")"}
-                .toLine());
-        C.Conn.flushWrites();
-        C.Conn.markDead();
-        return;
-      }
-      C.Version = M.H.Version;
-      fleet::HelloAck Ack;
-      Ack.File = Docs.empty() ? std::string() : Docs.front()->Path;
-      Ack.Recheck = O.Recheck;
-      C.Conn.sendLine(Ack.toLine());
-      C.Conn.flushWrites();
-      return;
-    }
-    case fleet::MsgKind::Request:
-      // The v2 request surface is the v1 command set with an id: the
-      // reply events of this check/status carry the id in their envelope.
-      C.ReqId = M.Q.Id;
-      if (!handleLine(M.Q.Method, Broadcast))
-        Stop = true;
-      return;
-    case fleet::MsgKind::Bye:
-      C.Conn.markDead();
-      return;
-    default:
-      C.Conn.sendLine(
-          fleet::ErrorMsg{"unexpected message on a daemon socket"}.toLine());
-      C.Conn.flushWrites();
-      return;
-    }
-  };
-
   while (!Stop && !shutdownRequested()) {
     std::vector<struct pollfd> PFDs;
     PFDs.push_back({ListenFd, POLLIN, 0});
     for (const auto &C : Clients) {
       short Ev = POLLIN;
-      if (C->Conn.wantsWrite())
+      if (C.wantsWrite())
         Ev |= POLLOUT;
-      PFDs.push_back({C->Conn.fd(), Ev, 0});
+      PFDs.push_back({C.fd(), Ev, 0});
     }
 
     int N = poll(PFDs.data(), PFDs.size(), static_cast<int>(O.PollMs));
@@ -612,37 +552,35 @@ int Daemon::runSocket(const std::string &SockPath) {
     if (PFDs[0].revents & POLLIN) {
       int Fd = accept(ListenFd, nullptr, nullptr);
       if (Fd >= 0)
-        Clients.push_back(std::make_unique<Client>(Fd));
+        Clients.emplace_back(Fd);
     }
 
     // PFDs[I+1] belongs to Clients[I]; accept above only appended.
     for (size_t I = 0; I < Clients.size() && I + 1 < PFDs.size(); ++I) {
-      Client &C = *Clients[I];
+      net::LineConn &C = Clients[I];
       short Rev = PFDs[I + 1].revents;
       if (Rev & (POLLERR | POLLNVAL)) {
-        C.Conn.markDead();
+        C.markDead();
         continue;
       }
       if (Rev & POLLOUT)
-        C.Conn.flushWrites();
+        C.flushWrites();
       if (!(Rev & (POLLIN | POLLHUP)))
         continue;
       std::vector<std::string> Lines;
-      bool Alive = C.Conn.readLines(Lines);
+      bool Alive = C.readLines(Lines);
       for (const std::string &Line : Lines) {
         if (Stop)
           break;
-        if (fleet::looksLikeV2(Line))
-          HandleV2(C, Line);
-        else if (!handleLine(Line, Broadcast)) // legacy v1 bare words
+        if (!handleLine(Line, Broadcast))
           Stop = true;
       }
       if (!Alive)
-        C.Conn.markDead();
+        C.markDead();
     }
 
     for (size_t I = Clients.size(); I-- > 0;)
-      if (Clients[I]->Conn.dead())
+      if (Clients[I].dead())
         Clients.erase(Clients.begin() + static_cast<ptrdiff_t>(I));
   }
 

@@ -10,7 +10,7 @@
 /// watched documents and a pair of store tiers that outlive any single
 /// compile: the in-memory L1 stays warm across *revisions* of every
 /// document (each revision is a fresh frontend compile and a fresh Checker
-/// session sharing the tiers via Checker::adoptStoreTiers), and the
+/// session sharing the tiers via Checker::adoptTierStack), and the
 /// optional disk L2 stays warm across *restarts* (entries are replayed
 /// through the proof checker before they are trusted, exactly as in batch
 /// mode). Because result-store keys fold in the function body, its callee
@@ -28,15 +28,10 @@
 /// Events are typed (daemon::Event); the JSON-lines protocol over stdio
 /// (`verifyd --stdio`) or a Unix domain socket (`verifyd --socket=PATH`)
 /// renders them with Event::toJsonLine, and the LSP server consumes them
-/// directly through a StructuredSink. Legacy (v1) requests are single
-/// words (`check`, `status`, `shutdown`); every `check` exchange is
-/// terminated by a `revision_done`, `unchanged`, or `error` event per
-/// document. A socket client may instead upgrade to protocol v2
-/// (fleet/Protocol.h) with a `hello` handshake: its requests become
-/// id-correlated `{"rcc": "req"}` messages and its events gain the
-/// versioned envelope (Event::toJsonLine(Version, ReqId)), while v1
-/// clients on the same socket keep receiving the byte-identical legacy
-/// lines.
+/// directly through a StructuredSink. Requests are single words
+/// (`check`, `status`, `shutdown`); every `check` exchange is terminated
+/// by a `revision_done`, `unchanged`, or `error` event per document, and
+/// any other line gets an `unknown command` error event.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,10 +117,7 @@ public:
 
   /// Dispatches one protocol line (`check` / `status` / `shutdown`;
   /// unknown commands produce an `error` event). Returns false when the
-  /// daemon should shut down. These are the legacy v1 commands *and* the
-  /// method set of v2 requests — runSocket maps `{"rcc": "req", "method":
-  /// M}` onto the same dispatch, so both protocol generations share one
-  /// semantic surface.
+  /// daemon should shut down.
   bool handleLine(const std::string &Line, const EventSink &Sink);
   bool handleLine(const std::string &Line, const StructuredSink &Sink);
 

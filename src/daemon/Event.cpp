@@ -124,16 +124,6 @@ std::string Event::toJsonLine() const {
   return S;
 }
 
-std::string Event::toJsonLine(unsigned Version, uint64_t ReqId) const {
-  std::string V1 = toJsonLine();
-  if (Version < 2)
-    return V1;
-  // The v2 envelope prefixes the *identical* v1 body, so a v2 subscriber
-  // can reuse every v1 field parser and v1 byte-compatibility is trivially
-  // preserved for clients that never said hello.
-  return "{\"v\": 2, \"id\": " + std::to_string(ReqId) + ", " + V1.substr(1);
-}
-
 static bool parseLoc(const json::Value &O, const char *LineKey,
                      const char *ColKey, SourceLoc &Out) {
   const json::Value *L = O.field(LineKey), *C = O.field(ColKey);
@@ -171,16 +161,10 @@ static bool parseDiagObject(const json::Value &O, Diagnostic &D) {
   return true;
 }
 
-bool Event::fromJsonLine(const std::string &Line, Event &Out,
-                         uint64_t *ReqId) {
+bool Event::fromJsonLine(const std::string &Line, Event &Out) {
   json::Value V;
   if (!json::parse(Line, V, nullptr) || !V.isObject())
     return false;
-  if (ReqId)
-    *ReqId = 0;
-  if (const json::Value *Id = V.field("id"))
-    if (Id->isNumber() && ReqId)
-      *ReqId = static_cast<uint64_t>(Id->asInt());
   const json::Value *Kind = V.field("event");
   if (!Kind || !Kind->isString())
     return false;

@@ -78,21 +78,11 @@ struct Event {
   /// DaemonTest and scripts grep exact substrings of these lines.
   std::string toJsonLine() const;
 
-  /// Renders the line for a protocol-v2 subscriber (negotiated by the
-  /// `hello` handshake; see src/fleet/Protocol.h): the identical v1 body
-  /// behind a `{"v": 2, "id": N, ...}` envelope, where \p ReqId correlates
-  /// the event with the v2 request that triggered it (0 = unsolicited
-  /// watch broadcast). Version 1 returns the v1 line byte-for-byte, so one
-  /// call site serves both generations.
-  std::string toJsonLine(unsigned Version, uint64_t ReqId) const;
-
-  /// Parses a line produced by either toJsonLine form back into a typed
-  /// Event (the v2 envelope, when present, lands in \p ReqId). Strict:
-  /// unknown `event` names, missing mandatory fields, and JSON syntax
-  /// errors all return false. Round-trips: parse(toJsonLine(E)) == E for
-  /// every kind (ProtocolTest locks this down).
-  static bool fromJsonLine(const std::string &Line, Event &Out,
-                           uint64_t *ReqId = nullptr);
+  /// Parses a line produced by toJsonLine back into a typed Event.
+  /// Strict: unknown `event` names, missing mandatory fields, and JSON
+  /// syntax errors all return false. Round-trips: parse(toJsonLine(E)) == E
+  /// for every kind (EventWireTest locks this down).
+  static bool fromJsonLine(const std::string &Line, Event &Out);
 
   /// Builds the per-function Diagnostic event for \p R within revision
   /// \p Rev of document \p File. Copies the checker's structured

@@ -116,7 +116,23 @@ bool Parser::expectPunct(const char *P) {
   return false;
 }
 
-void Parser::error(const std::string &Msg) { Diags.error(cur().Loc, Msg); }
+void Parser::error(const std::string &Msg) {
+  if (!TooDeep)
+    Diags.error(cur().Loc, Msg);
+}
+
+bool Parser::nest(NestingGuard &G) {
+  G.enter();
+  if (Depth <= kMaxNestingDepth)
+    return true;
+  if (!TooDeep) {
+    Diags.error(cur().Loc, "nesting too deep (more than " +
+                               std::to_string(kMaxNestingDepth) + " levels)");
+    TooDeep = true;
+  }
+  Pos = Toks.size() - 1; // Eof: abandon the rest of the input
+  return false;
+}
 
 void Parser::skipTo(const char *P) {
   while (!cur().is(TokKind::Eof) && !atPunct(P))
@@ -294,13 +310,19 @@ CTypePtr Parser::parseTypeSpecifier(std::vector<RcAnnot> *StructAnnotsOut) {
 
 CTypePtr Parser::parseDeclarator(CTypePtr Base, std::string &Name,
                                  bool AllowAbstract) {
+  // One level per pointer, array or function-pointer layer of the type.
+  NestingGuard G(Depth);
   while (eatPunct("*")) {
+    if (!nest(G))
+      return Base;
     Base = ctPtr(Base);
     while (eatKeyword("const")) {
     }
   }
   // Function-pointer declarator: ( * name ) ( params )
   if (atPunct("(") && peek(1).isPunct("*")) {
+    if (!nest(G))
+      return Base;
     advance(); // (
     advance(); // *
     if (cur().isIdent()) {
@@ -332,6 +354,8 @@ CTypePtr Parser::parseDeclarator(CTypePtr Base, std::string &Name,
     // Nameless declarator only allowed in abstract positions.
   }
   while (eatPunct("[")) {
+    if (!nest(G))
+      return Base;
     uint64_t Len = 0;
     if (cur().is(TokKind::Number))
       Len = advance().IntVal;
@@ -597,6 +621,9 @@ CStmtPtr Parser::parseDeclStmt() {
 
 CStmtPtr Parser::parseStmt() {
   rcc::SourceLoc Loc = cur().Loc;
+  NestingGuard G(Depth);
+  if (!nest(G))
+    return nullptr;
 
   if (atPunct("{"))
     return parseCompound();
@@ -719,6 +746,10 @@ CExprPtr Parser::parseAssign() {
   CExprPtr L = parseCond();
   static const char *CompoundOps[] = {"+=", "-=", "*=", "/=", "%=",
                                       "&=", "|=", "^=", "<<=", ">>="};
+  // Assignments nest to the right: `a = b = c` recurses once per '='.
+  NestingGuard G(Depth);
+  if (!nest(G))
+    return L;
   if (atPunct("=")) {
     rcc::SourceLoc Loc = advance().Loc;
     auto E = std::make_unique<CExpr>(CExprKind::Assign);
@@ -744,6 +775,9 @@ CExprPtr Parser::parseAssign() {
 CExprPtr Parser::parseCond() {
   CExprPtr C = parseBinary(0);
   if (!atPunct("?"))
+    return C;
+  NestingGuard G(Depth);
+  if (!nest(G))
     return C;
   rcc::SourceLoc Loc = advance().Loc;
   auto E = std::make_unique<CExpr>(CExprKind::Cond);
@@ -783,9 +817,13 @@ int binPrec(const std::string &Op) {
 
 CExprPtr Parser::parseBinary(int MinPrec) {
   CExprPtr L = parseUnary();
+  // A left-associative chain deepens the tree once per operator.
+  NestingGuard G(Depth);
   while (cur().is(TokKind::Punct)) {
     int Prec = binPrec(cur().Text);
     if (Prec < 0 || Prec < MinPrec)
+      break;
+    if (!nest(G))
       break;
     std::string Op = advance().Text;
     CExprPtr R = parseBinary(Prec + 1);
@@ -801,6 +839,14 @@ CExprPtr Parser::parseBinary(int MinPrec) {
 
 CExprPtr Parser::parseUnary() {
   rcc::SourceLoc Loc = cur().Loc;
+  // Every prefix operator, cast and parenthesised sub-expression re-enters
+  // here, so one level per call bounds all of them.
+  NestingGuard G(Depth);
+  if (!nest(G)) {
+    auto E = std::make_unique<CExpr>(CExprKind::IntLit);
+    E->Loc = Loc;
+    return E;
+  }
   if (eatPunct("*")) {
     auto E = std::make_unique<CExpr>(CExprKind::Deref);
     E->Loc = Loc;
@@ -857,8 +903,12 @@ CExprPtr Parser::parseUnary() {
 
 CExprPtr Parser::parsePostfix() {
   CExprPtr E = parsePrimary();
+  // Each postfix operator deepens the tree by one level.
+  NestingGuard G(Depth);
   while (true) {
     rcc::SourceLoc Loc = cur().Loc;
+    if (!nest(G))
+      break;
     if (eatPunct("(")) {
       auto C = std::make_unique<CExpr>(CExprKind::Call);
       C->Loc = Loc;

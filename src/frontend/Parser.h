@@ -19,6 +19,7 @@
 
 #include "frontend/CAst.h"
 #include "frontend/Lexer.h"
+#include "support/Util.h"
 
 #include <map>
 #include <set>
@@ -34,6 +35,12 @@ public:
   /// a best-effort (possibly partial) unit is returned.
   CTranslationUnit parseTranslationUnit();
 
+  /// Deepest nesting of statements, expressions and declarators accepted.
+  /// Real code stays far below it; deeper input is rejected with a located
+  /// diagnostic instead of overflowing the stack of this parser or of the
+  /// recursive passes over its tree.
+  static constexpr unsigned kMaxNestingDepth = 256;
+
 private:
   // Token stream helpers.
   const Token &peek(int Ahead = 0) const;
@@ -46,6 +53,9 @@ private:
   bool expectPunct(const char *P);
   void error(const std::string &Msg);
   void skipTo(const char *P);
+  /// Enters one nesting level of \p G; past kMaxNestingDepth, reports the
+  /// input once, abandons the rest of it, and returns false.
+  bool nest(NestingGuard &G);
 
   // Annotations.
   std::vector<RcAnnot> parseAnnotList();
@@ -79,6 +89,10 @@ private:
   std::vector<Token> Toks;
   size_t Pos = 0;
   rcc::DiagnosticEngine &Diags;
+  unsigned Depth = 0;
+  /// Set once the nesting limit was hit: the unit is rejected and every
+  /// later error would only echo the abandoned input.
+  bool TooDeep = false;
 
   /// Range of the most recent name token consumed by parseDeclarator, so
   /// parseTopLevel can attribute a declaration to its name (for editor

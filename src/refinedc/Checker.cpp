@@ -656,8 +656,8 @@ uint64_t Checker::fnContentHash(const std::string &Name,
   // CollectDerivation alter trust metadata and payload, both of which
   // probeStore re-establishes per hit (replay for untrusted tiers, the
   // strictness guards for L1), so keying on them would partition the store
-  // by driver — a fleet worker publishes under --no-recheck and the
-  // coordinator's closing recheck pass must still find those entries.
+  // by driver — `verifyd --no-recheck` and a rechecking verify_tool may
+  // share one --cache-dir, and each must find the other's entries.
   H.mix(static_cast<uint64_t>(Opts.Backtracking))
       .mix(static_cast<uint64_t>(Opts.MaxSteps))
       // On and Race compute identical results (Race only reorders work),
@@ -676,54 +676,31 @@ void Checker::invalidateCache() {
   EnvFingerprintValid = false;
 }
 
-void Checker::adoptStoreTiers(
-    std::shared_ptr<store::MemoryResultStore> SharedL1,
-    std::shared_ptr<store::DiskResultStore> SharedL2) {
-  std::vector<std::shared_ptr<store::ResultStore>> Untrusted;
-  if (SharedL2)
-    Untrusted.push_back(std::move(SharedL2));
-  adoptTierStack(std::move(SharedL1), std::move(Untrusted));
-}
-
 void Checker::adoptTierStack(
     std::shared_ptr<store::MemoryResultStore> SharedL1,
     std::vector<std::shared_ptr<store::ResultStore>> Untrusted) {
   L1 = SharedL1 ? std::move(SharedL1)
                 : std::make_shared<store::MemoryResultStore>();
-  L2 = nullptr;
-  L3 = nullptr;
-  AdoptedUntrusted = std::move(Untrusted);
-  ExternalTiers = true;
+  OwnedCacheDir.reset();
   Store.resetTiers();
   Store.addTier(L1, /*Trusted=*/true);
-  for (const auto &T : AdoptedUntrusted)
-    Store.addTier(T, /*Trusted=*/false);
+  for (auto &T : Untrusted)
+    Store.addTier(std::move(T), /*Trusted=*/false);
 }
 
 void Checker::configureStore(const VerifyOptions &Opts) {
-  if (ExternalTiers)
-    return; // the adopter owns the composition; CacheDir/SharedDir are
-            // ignored
-  const bool WantL2 = !Opts.CacheDir.empty() && !Opts.NoCache;
-  const bool WantL3 = !Opts.SharedDir.empty() && !Opts.NoCache;
-  const bool L2Ok =
-      WantL2 ? (L2 && L2->dir() == Opts.CacheDir) : (L2 == nullptr);
-  const bool L3Ok =
-      WantL3 ? (L3 && L3->dir() == Opts.SharedDir) : (L3 == nullptr);
-  if (L2Ok && L3Ok)
+  if (!OwnedCacheDir)
+    return; // the adopter owns the composition; CacheDir is ignored
+  const std::string Dir = Opts.NoCache ? std::string() : Opts.CacheDir;
+  if (*OwnedCacheDir == Dir)
     return; // same composition as the previous run: keep the tiers (and
             // their lifetime counters)
-  L2 = WantL2 ? std::make_shared<store::DiskResultStore>(Opts.CacheDir, "l2")
-              : nullptr;
-  L3 = WantL3
-           ? std::make_shared<store::DiskResultStore>(Opts.SharedDir, "l3")
-           : nullptr;
+  OwnedCacheDir = Dir;
   Store.resetTiers();
   Store.addTier(L1, /*Trusted=*/true);
-  if (L2)
-    Store.addTier(L2, /*Trusted=*/false);
-  if (L3)
-    Store.addTier(L3, /*Trusted=*/false);
+  if (!Dir.empty())
+    Store.addTier(std::make_shared<store::DiskResultStore>(Dir),
+                  /*Trusted=*/false);
 }
 
 bool Checker::probeStore(const std::string &Name, uint64_t Key,
@@ -745,11 +722,11 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
          (Opts.CollectDerivation && R.Deriv.Steps.empty())))
       return false;
   } else {
-    // The entry came from an untrusted (persistent or shared) tier. Its
-    // envelope only filtered corruption and staleness; trust is established
-    // by replaying the recorded derivation through the independent
+    // The entry came from an untrusted (persistent) tier. Its envelope
+    // only filtered corruption and staleness; trust is established by
+    // replaying the recorded derivation through the independent
     // ProofChecker — the paper's search-untrusted / checker-trusted split,
-    // extended across process (and, for L3, machine) boundaries.
+    // extended across process boundaries.
     // --no-recheck downgrades this to content-hash trust. Failed and
     // rc::trust_me results carry no proof to replay and are surfaced as
     // stored.
@@ -768,19 +745,17 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
       ProofChecker PC(Rules);
       bool Ok = PC.check(R.Deriv, Lemmas).Ok;
       auto T1 = std::chrono::steady_clock::now();
-      const size_t TI = T < RunStoreStats::kMaxTiers
-                            ? T
-                            : RunStoreStats::kMaxTiers - 1;
-      RS.ReplayUs[TI].fetch_add(
+      TierReplayStats &TierStats = RS[T];
+      TierStats.ReplayUs.fetch_add(
           static_cast<uint64_t>(
               std::chrono::duration_cast<std::chrono::microseconds>(T1 - T0)
                   .count()),
           std::memory_order_relaxed);
-      RS.Replays[TI].fetch_add(1, std::memory_order_relaxed);
+      TierStats.Replays.fetch_add(1, std::memory_order_relaxed);
       if (!Ok) {
         // A well-formed entry whose proof does not replay. Drop it from
         // every tier and fall back to a fresh verification.
-        RS.ReplayFailures[TI].fetch_add(1, std::memory_order_relaxed);
+        TierStats.ReplayFailures.fetch_add(1, std::memory_order_relaxed);
         Store.drop(Name, Key);
         return false;
       }
@@ -788,8 +763,8 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
       R.RecheckOk = true;
     }
     // Validated (or hash-trusted under --no-recheck): promote into every
-    // tier probed earlier — an L3 hit warms both the private L2 and the
-    // trusted in-memory L1, so repeated runs hit the cheapest tier.
+    // tier probed earlier — a disk hit warms the trusted in-memory L1, so
+    // repeated runs hit the cheapest tier.
     Store.promote(Name, Key, R, T);
   }
 
@@ -823,11 +798,11 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   std::optional<trace::Span> RunSpan;
   RunSpan.emplace(trace::Category::Checker, "checker.run");
 
-  // Compose this run's store tiers (L1 always; L2/L3 when CacheDir /
-  // SharedDir are set, or whatever stack was adopted).
+  // Compose this run's store tiers (L1 always; L2 when CacheDir is set, or
+  // whatever stack was adopted).
   configureStore(Opts);
   const bool UseStore = !Opts.NoCache;
-  // Any untrusted tier in the stack (private L2, shared L3, adopted)?
+  // Any untrusted tier in the stack (disk L2 or adopted)?
   bool HaveUntrusted = false;
   for (size_t T = 0; T < Store.numTiers(); ++T)
     HaveUntrusted |= UseStore && !Store.trusted(T);
@@ -850,10 +825,9 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   PR.Fns.resize(Names.size());
   constexpr size_t kMiss = ~static_cast<size_t>(0);
   std::vector<size_t> HitTier(Names.size(), kMiss);
-  RunStoreStats RS;
+  RunStoreStats RS(Store.numTiers());
   // Per-tier corrupt-drop baselines, so the run's delta can be attributed
-  // to the tier that rejected the entry (store.l2.corrupt_drops vs
-  // store.l3.corrupt_drops).
+  // to the tier that rejected the entry.
   std::vector<uint64_t> CorruptBase(Store.numTiers(), 0);
   for (size_t T = 0; T < Store.numTiers(); ++T)
     CorruptBase[T] =
@@ -882,24 +856,17 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
       continue;
     }
     ++PR.CacheHits;
-    const size_t T = HitTier[I];
-    if (T == 0) {
+    // Tier 0 is always the in-memory L1; every tier below it counts as L2.
+    if (HitTier[I] == 0)
       ++PR.L1Hits;
-    } else {
-      // Attribute by tier label so the scalar accounting survives any
-      // stack composition ([L1,L2], [L1,L3], [L1,L2,L3], adopted...).
-      const char *TN = Store.tier(T).tierName();
-      if (std::strcmp(TN, "l3") == 0)
-        ++PR.L3Hits;
-      else
-        ++PR.L2Hits;
-    }
+    else
+      ++PR.L2Hits;
   }
   uint64_t ReplaysTotal = 0, ReplayFailuresTotal = 0, ReplayUsTotal = 0;
-  for (size_t T = 0; T < RunStoreStats::kMaxTiers; ++T) {
-    ReplaysTotal += RS.Replays[T].load();
-    ReplayFailuresTotal += RS.ReplayFailures[T].load();
-    ReplayUsTotal += RS.ReplayUs[T].load();
+  for (const TierReplayStats &S : RS) {
+    ReplaysTotal += S.Replays.load();
+    ReplayFailuresTotal += S.ReplayFailures.load();
+    ReplayUsTotal += S.ReplayUs.load();
   }
   PR.ReplayedHits = static_cast<unsigned>(ReplaysTotal);
   PR.ReplayFailures = static_cast<unsigned>(ReplayFailuresTotal);
@@ -937,7 +904,7 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
       // Per-tier store accounting, mirrored from the joined results (and,
       // for corrupt drops, from the tier's own lifetime counters) so the
       // exported values are schedule-independent. Every tier exports under
-      // its own label: store.l1.*, store.l2.*, store.l3.*.
+      // its own label: store.l1.*, store.l2.*.
       MR.counter("store.l1.hits").add(PR.L1Hits);
       std::vector<unsigned> TierHitCount(Store.numTiers(), 0);
       for (size_t I = 0; I < Names.size(); ++I)
@@ -946,13 +913,11 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
       for (size_t T = 1; T < Store.numTiers(); ++T) {
         const std::string Prefix = std::string("store.") +
                                    Store.tier(T).tierName();
-        const size_t TI =
-            T < RunStoreStats::kMaxTiers ? T : RunStoreStats::kMaxTiers - 1;
         MR.counter(Prefix + ".hits").add(TierHitCount[T]);
-        MR.counter(Prefix + ".replays").add(RS.Replays[TI].load());
+        MR.counter(Prefix + ".replays").add(RS[T].Replays.load());
         MR.counter(Prefix + ".replay_failures")
-            .add(RS.ReplayFailures[TI].load());
-        MR.counter(Prefix + ".replay_us").add(RS.ReplayUs[TI].load());
+            .add(RS[T].ReplayFailures.load());
+        MR.counter(Prefix + ".replay_us").add(RS[T].ReplayUs.load());
         MR.counter(Prefix + ".corrupt_drops")
             .add(Store.tier(T).counters().CorruptDrops.load(
                      std::memory_order_relaxed) -
@@ -969,8 +934,7 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   // Deterministic mode extends the byte-identical guarantee from traces to
   // the ProgramResult itself: wall times are the only schedule-dependent
   // fields, so zeroing them makes `--format=json --deterministic-trace`
-  // output comparable across job counts, runs, and fleet-vs-local drivers
-  // (scripts/check.sh diffs exactly this).
+  // output comparable across job counts and runs.
   if (Opts.DeterministicTrace) {
     PR.WallMillis = 0.0;
     PR.ReplayMillis = 0.0;

@@ -95,27 +95,20 @@ public:
   /// Builds the type environment from annotations. False on spec errors.
   bool buildEnv();
 
-  /// Adopts externally-owned store tiers in place of the session-owned
-  /// ones. This is how the verification daemon (src/daemon) keeps results
-  /// warm across *revisions*: each revision compiles a fresh Checker
-  /// session, but all sessions share one in-memory L1 (and optionally one
-  /// disk L2), and the content-hash keys — which fold in the function
-  /// body, callee specs, and the spec-environment fingerprint — guarantee
-  /// a stale entry can only miss. \p SharedL1 must be a trusted in-memory
-  /// tier (nullptr keeps a fresh private one); \p SharedL2 may be null.
-  /// Once adopted, VerifyOptions::CacheDir is ignored (the tiers are
-  /// fixed); VerifyOptions::NoCache still bypasses probes per run.
-  void adoptStoreTiers(std::shared_ptr<store::MemoryResultStore> SharedL1,
-                       std::shared_ptr<store::DiskResultStore> SharedL2);
-
-  /// Generalization of adoptStoreTiers to the uniform tier stack: the
-  /// trusted in-memory L1 plus any number of *untrusted* persistent tiers
-  /// in probe order (private L2 first, then the fleet's shared L3). Every
-  /// hit in an untrusted tier is replayed through the ProofChecker before
-  /// being trusted (or hash-trusted under --no-recheck), and validated
-  /// results are promoted into every tier probed earlier. This is how
-  /// fleet workers compose [private L1, shared L3] and the daemon composes
-  /// [shared L1, private L2, shared L3] (DESIGN.md, "Fleet & protocol v2").
+  /// Adopts an externally-owned tier stack in place of the session-owned
+  /// one: the trusted in-memory L1 (nullptr keeps a fresh private one)
+  /// plus any number of *untrusted* tiers in probe order. This is how the
+  /// verification daemon (src/daemon) keeps results warm across
+  /// *revisions*: each revision compiles a fresh Checker session, but all
+  /// sessions share one L1 (and optionally one disk L2), and the
+  /// content-hash keys — which fold in the function body, callee specs,
+  /// and the spec-environment fingerprint — guarantee a stale entry can
+  /// only miss. Every hit in an untrusted tier is replayed through the
+  /// ProofChecker before being trusted (or hash-trusted under
+  /// --no-recheck), and validated results are promoted into every tier
+  /// probed earlier. Once adopted, VerifyOptions::CacheDir is ignored (the
+  /// tiers are fixed); VerifyOptions::NoCache still bypasses probes per
+  /// run.
   void
   adoptTierStack(std::shared_ptr<store::MemoryResultStore> SharedL1,
                  std::vector<std::shared_ptr<store::ResultStore>> Untrusted);
@@ -177,19 +170,20 @@ private:
                          const VerifyOptions &Opts) const;
   void invalidateCache();
 
-  /// (Re)builds the tiered store for this run: the session L1 always, plus
-  /// a disk L2 when Opts.CacheDir is set and a shared L3 when
-  /// Opts.SharedDir is set (each reused across runs on the same directory).
+  /// (Re)builds a session-owned stack for this run: the session L1 always,
+  /// plus a disk L2 when Opts.CacheDir is set (reused across runs on the
+  /// same directory). An adopted stack is left alone.
   void configureStore(const VerifyOptions &Opts);
 
-  /// Per-run replay accounting, aggregated across jobs. Indexed by tier
-  /// position in the stack (tier 0 — trusted L1 — never replays).
-  struct RunStoreStats {
-    static constexpr size_t kMaxTiers = 8;
-    std::atomic<uint64_t> ReplayUs[kMaxTiers] = {};
-    std::atomic<uint64_t> Replays[kMaxTiers] = {};
-    std::atomic<uint64_t> ReplayFailures[kMaxTiers] = {};
+  /// One tier's replay accounting for a run, aggregated across jobs.
+  struct TierReplayStats {
+    std::atomic<uint64_t> ReplayUs{0};
+    std::atomic<uint64_t> Replays{0};
+    std::atomic<uint64_t> ReplayFailures{0};
   };
+  /// Indexed by tier position in the stack (tier 0 — trusted L1 — never
+  /// replays).
+  using RunStoreStats = std::vector<TierReplayStats>;
 
   /// Job-start store probe: on a hit in an untrusted (disk) tier the entry
   /// is replayed through the ProofChecker before being surfaced (or hash-
@@ -217,21 +211,16 @@ private:
   mutable bool EnvFingerprintValid = false;
 
   /// The session result store, composed as a uniform tier stack. L1
-  /// (in-memory, trusted) always exists; L2 (private on-disk) and L3 (the
-  /// fleet's shared artifact store) — both untrusted until replayed — are
-  /// attached by configureStore when a run sets VerifyOptions::CacheDir /
-  /// SharedDir, or adopted wholesale by adoptTierStack. Jobs only touch
-  /// the store at job start/end; all tiers are thread-safe.
+  /// (in-memory, trusted) is always tier 0; a disk L2 — untrusted until
+  /// replayed — is attached by configureStore when a run sets
+  /// VerifyOptions::CacheDir, or the whole stack is adopted by
+  /// adoptTierStack. Jobs only touch the store at job start/end; all tiers
+  /// are thread-safe.
   std::shared_ptr<store::MemoryResultStore> L1;
-  std::shared_ptr<store::DiskResultStore> L2;
-  std::shared_ptr<store::DiskResultStore> L3;
-  /// Adopted untrusted tiers (adoptTierStack); empty when the session owns
-  /// its composition.
-  std::vector<std::shared_ptr<store::ResultStore>> AdoptedUntrusted;
   store::TieredResultStore Store;
-  /// True once adoptStoreTiers ran: the tier composition is owned by the
-  /// caller (the daemon) and configureStore must not rebuild it.
-  bool ExternalTiers = false;
+  /// The CacheDir the session-owned stack was built for ("" = L1 only);
+  /// nullopt once adoptTierStack handed the composition to the caller.
+  std::optional<std::string> OwnedCacheDir = std::string();
 };
 
 /// Registers the RefinedC standard library of typing rules (Section 6 and

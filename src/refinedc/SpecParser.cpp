@@ -118,9 +118,23 @@ std::string SpecParser::ident() {
 }
 
 void SpecParser::error(const std::string &Msg) {
-  if (!HadError && !Quiet)
+  if (!HadError && !Quiet && !TooDeep)
     Diags.error(Loc, "in spec '" + Text + "': " + Msg);
   HadError = true;
+}
+
+bool SpecParser::nest(NestingGuard &G) {
+  G.enter();
+  if (Depth <= kMaxNestingDepth)
+    return true;
+  if (!TooDeep)
+    Diags.error(Loc, "spec nesting too deep at offset " +
+                         std::to_string(Pos) + " (more than " +
+                         std::to_string(kMaxNestingDepth) + " levels)");
+  TooDeep = true;
+  HadError = true;
+  Pos = Text.size(); // abandon the rest of the spec
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -156,7 +170,8 @@ TermRef SpecParser::term() { return ternary(); }
 TermRef SpecParser::ternary() {
   TermRef C = implication();
   skipWs();
-  if (eat("?")) {
+  NestingGuard G(Depth);
+  if (eat("?") && nest(G)) {
     TermRef T = ternary();
     if (!eat(":"))
       error("expected ':' in conditional");
@@ -168,21 +183,26 @@ TermRef SpecParser::ternary() {
 
 TermRef SpecParser::implication() {
   TermRef L = disjunction();
-  if (eat("->") || eat("→")) // →
+  NestingGuard G(Depth);
+  if ((eat("->") || eat("→")) && nest(G)) // →
     return mkImplies(L, implication());
   return L;
 }
 
+// The left-associative chains below deepen the term once per operator.
+
 TermRef SpecParser::disjunction() {
   TermRef L = conjunction();
-  while (eat("||") || eat("\\/"))
+  NestingGuard G(Depth);
+  while ((eat("||") || eat("\\/")) && nest(G))
     L = mkOr(L, conjunction());
   return L;
 }
 
 TermRef SpecParser::conjunction() {
   TermRef L = comparison();
-  while (eat("&&") || eat("/\\") || eat("∧")) // ∧
+  NestingGuard G(Depth);
+  while ((eat("&&") || eat("/\\") || eat("∧")) && nest(G)) // ∧
     L = mkAnd(L, comparison());
   return L;
 }
@@ -213,7 +233,8 @@ TermRef SpecParser::comparison() {
 
 TermRef SpecParser::additive() {
   TermRef L = multiplicative();
-  while (true) {
+  NestingGuard G(Depth);
+  while (nest(G)) {
     skipWs();
     if (eat("(+)") || eat("⊎")) { // ⊎
       L = mkMUnion(L, multiplicative());
@@ -252,7 +273,8 @@ TermRef SpecParser::additive() {
 
 TermRef SpecParser::multiplicative() {
   TermRef L = unary();
-  while (true) {
+  NestingGuard G(Depth);
+  while (nest(G)) {
     skipWs();
     if (eat("*")) {
       L = mkMul(L, unary());
@@ -273,6 +295,11 @@ TermRef SpecParser::multiplicative() {
 }
 
 TermRef SpecParser::unary() {
+  // Every prefix operator, bracketed sub-term and quantifier body re-enters
+  // here, so one level per call bounds all of them.
+  NestingGuard G(Depth);
+  if (!nest(G))
+    return mkNat(0);
   skipWs();
   if (eat("!") || eat("¬")) // ¬
     return mkNot(unary());
@@ -532,6 +559,9 @@ TermRef SpecParser::refinement() {
 }
 
 TypeRef SpecParser::typeCore() {
+  NestingGuard Nesting(Depth);
+  if (!nest(Nesting))
+    return tyNull();
   // Terms appearing directly between type brackets must not treat '>' as a
   // comparison operator.
   struct AngleGuard {
@@ -773,7 +803,7 @@ TypeRef SpecParser::type() {
     skipWs();
     bool RefnOk = !HadError;
     Quiet = SavedQuiet;
-    HadError = SavedHadError;
+    HadError = SavedHadError || TooDeep;
     if (RefnOk && eat("@")) {
       TypeRef T = typeCore();
       return withRefn(T, R);

@@ -23,6 +23,7 @@
 
 #include "refinedc/Types.h"
 #include "support/Diagnostics.h"
+#include "support/Util.h"
 
 #include <map>
 #include <string>
@@ -70,6 +71,11 @@ public:
 
   bool hadError() const { return HadError; }
 
+  /// Deepest nesting of terms and types accepted. Real specs stay far
+  /// below it; deeper input is a spec error instead of a stack overflow in
+  /// this parser or in the recursive passes over the terms it builds.
+  static constexpr unsigned kMaxNestingDepth = 256;
+
 private:
   // Lexing (on demand, over UTF-8 text).
   void skipWs();
@@ -78,6 +84,10 @@ private:
   std::string ident();
   bool atIdent();
   void error(const std::string &Msg);
+  /// Enters one nesting level of \p G; past kMaxNestingDepth, reports the
+  /// spec once (even while Quiet), abandons the rest of it, and returns
+  /// false.
+  bool nest(NestingGuard &G);
 
   // Terms.
   TermRef term();
@@ -105,6 +115,9 @@ private:
   rcc::DiagnosticEngine &Diags;
   rcc::SourceLoc Loc;
   bool HadError = false;
+  unsigned Depth = 0;
+  /// Set once the nesting limit was hit; sticky across speculative parses.
+  bool TooDeep = false;
   /// Suppresses diagnostics during speculative parses (refinement '@' ...).
   bool Quiet = false;
   /// Inside `<...>` type brackets, bare '<'/'>' close the bracket instead of

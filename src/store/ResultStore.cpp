@@ -75,11 +75,7 @@ void MemoryResultStore::clear() {
 
 static constexpr uint32_t kEntryMagic = 0x53564352; // "RCVS"
 
-DiskResultStore::DiskResultStore(std::string D, std::string L)
-    : Dir(std::move(D)), Label(std::move(L)),
-      LoadSpanName("store." + Label + ".load"),
-      WriteSpanName("store." + Label + ".write"),
-      GcSpanName("store." + Label + ".gc") {
+DiskResultStore::DiskResultStore(std::string D) : Dir(std::move(D)) {
   std::error_code EC;
   fs::create_directories(Dir, EC); // failures surface as misses below
 }
@@ -107,7 +103,7 @@ std::string DiskResultStore::entryPath(const std::string &Name,
 
 bool DiskResultStore::get(const std::string &Name, uint64_t Key,
                           FnResult &Out) {
-  trace::Span LoadSpan(trace::Category::Cache, LoadSpanName);
+  trace::Span LoadSpan(trace::Category::Cache, "store.l2.load");
   std::string Path = entryPath(Name, Key);
   std::ifstream In(Path, std::ios::binary);
   if (!In) {
@@ -163,7 +159,7 @@ bool DiskResultStore::get(const std::string &Name, uint64_t Key,
 
 void DiskResultStore::put(const std::string &Name, uint64_t Key,
                           const FnResult &R) {
-  trace::Span WriteSpan(trace::Category::Cache, WriteSpanName);
+  trace::Span WriteSpan(trace::Category::Cache, "store.l2.write");
   std::string Payload = serializeFnResult(R);
 
   BinaryWriter W;
@@ -233,7 +229,7 @@ uint64_t DiskResultStore::sizeBytes() const {
 }
 
 GcStats DiskResultStore::gc(uint64_t MaxBytes) {
-  trace::Span GcSpan(trace::Category::Cache, GcSpanName);
+  trace::Span GcSpan(trace::Category::Cache, "store.l2.gc");
   GcStats S;
 
   // Snapshot (path, mtime, size) for every entry. Entries that vanish or

@@ -16,22 +16,17 @@
 ///  - `MemoryResultStore` (L1): the per-session map the checker always had.
 ///    Entries were produced by this process; they are trusted as-is.
 ///  - `DiskResultStore` (L2): one file per entry under a cache directory,
-///    written atomically (temp file + rename) so concurrent verify_tool
-///    processes can share a directory. Entries are *untrusted input*: the
-///    envelope (magic, format version, tool version, key, checksum) only
-///    filters corruption and staleness; the checker replays every surfaced
-///    derivation through the independent ProofChecker before believing it
-///    — the paper's search-untrusted / checker-trusted split, extended
-///    across process boundaries.
-///  - `DiskResultStore` with the "l3" label: the *shared artifact store* of
-///    the verification fleet (DESIGN.md, "Fleet & protocol v2") — the same
-///    on-disk format and atomic-rename discipline, but pointed at a
-///    directory shared by every worker and coordinator. Entries may have
-///    been produced by other machines; the same replay-before-trust policy
-///    applies, so a corrupt or malicious shared cache degrades to local
-///    re-verification, never to a wrong result.
+///    written atomically (temp file + rename) so any number of processes
+///    (verify_tool runs, verifyd) can share one directory — this is how
+///    verification work is shared across processes. Entries are *untrusted
+///    input*: the envelope (magic, format version, tool version, key,
+///    checksum) only filters corruption and staleness; the checker replays
+///    every surfaced derivation through the independent ProofChecker
+///    before believing it — the paper's search-untrusted / checker-trusted
+///    split, extended across process boundaries. The replay is only as
+///    strong as ProofChecker::check (DESIGN.md, §Substitutions).
 ///  - `TieredResultStore`: composes any number of tiers in probe order as a
-///    uniform stack (L1/L2/L3/...), each carrying its *trust* attribute:
+///    uniform stack (L1, L2, ...), each carrying its *trust* attribute:
 ///    trusted tiers were produced in-process, untrusted tiers are replayed
 ///    through the ProofChecker by the caller before being believed. It
 ///    deliberately does NOT auto-promote on a hit: promotion upward is the
@@ -121,16 +116,13 @@ struct GcStats {
   unsigned Evicted = 0;     ///< entries unlinked by the pass
 };
 
-/// L2/L3: one file per (name, key) under \p Dir, named
+/// L2: one file per (name, key) under \p Dir, named
 /// `<sanitized-name>.<key-hex>.rcv`. Writers write to a process-unique
 /// temp file and atomically rename it into place, so any number of
 /// processes sharing a directory can never expose a half-written entry.
-/// \p Label names the tier in metrics and trace spans: "l2" is a private
-/// persistent cache, "l3" the fleet's shared artifact store — same format,
-/// different directory ownership and metric names.
 class DiskResultStore final : public ResultStore {
 public:
-  explicit DiskResultStore(std::string Dir, std::string Label = "l2");
+  explicit DiskResultStore(std::string Dir);
 
   bool get(const std::string &Name, uint64_t Key,
            refinedc::FnResult &Out) override;
@@ -140,7 +132,7 @@ public:
   /// Unlinks every .rcv entry under the directory (testing/maintenance;
   /// never called by session invalidation).
   void clear() override;
-  const char *tierName() const override { return Label.c_str(); }
+  const char *tierName() const override { return "l2"; }
 
   const std::string &dir() const { return Dir; }
   /// The entry path for (Name, Key) — exposed for tests that corrupt or
@@ -159,10 +151,6 @@ public:
 
 private:
   std::string Dir;
-  std::string Label;
-  /// Precomputed span names ("store.<label>.load" etc.) so the record path
-  /// does not concatenate strings per probe.
-  std::string LoadSpanName, WriteSpanName, GcSpanName;
   std::atomic<uint64_t> TmpCounter{0};
 };
 

@@ -6,10 +6,8 @@
 ///
 /// \file
 /// The one flag parser behind `verify_tool`, `verifyd`, and `rcc-lsp`
-/// (DESIGN.md, "Fleet & protocol v2"). Each tool used to hand-roll its own
-/// `--flag=value` loop; the three copies had already drifted in their
-/// numeric validation, and a fleet deployment runs all three against the
-/// same cache directories — `--cache-dir`, `--jobs`, `--no-recheck` must
+/// (DESIGN.md, "Verification daemon"). The three tools may run against the
+/// same cache directory, so `--cache-dir`, `--jobs`, `--no-recheck` must
 /// mean exactly the same thing everywhere. A tool declares its flags
 /// against an OptionParser; parsing is strict by construction:
 ///

@@ -157,8 +157,8 @@ void LineConn::flushWrites() {
 bool LineConn::readLines(std::vector<std::string> &Out) {
   // Deliberately not gated on Dead: a send-side EPIPE means the peer
   // closed, but lines it wrote before closing are still queued in our
-  // receive buffer and must remain readable (e.g. the fleet drain batch
-  // racing a worker's final pull).
+  // receive buffer and must remain readable (e.g. a client's last
+  // request racing the daemon's reply to the one before).
   if (Fd < 0)
     return false;
   char Chunk[4096];

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The line-oriented Unix-domain-socket transport shared by the daemon's
-/// broadcast protocol and the verification fleet (DESIGN.md, "Fleet &
-/// protocol v2"). One LineConn wraps a connected, non-blocking fd with an
-/// inbound line assembler and an outbound byte buffer, with the robustness
-/// properties a multi-client server needs:
+/// The line-oriented Unix-domain-socket transport of the daemon's
+/// broadcast protocol (DESIGN.md, "Verification daemon"); verify_tool's
+/// thin client connects with connectUnix and sends with sendLineBlocking.
+/// One LineConn wraps a connected, non-blocking fd with an inbound line
+/// assembler and an outbound byte buffer, with the robustness properties a
+/// multi-client server needs:
 ///
 ///  - *Partial writes never corrupt a line.* sendLine queues the whole
 ///    line; flushWrites drains as much as the socket accepts and keeps the

@@ -80,6 +80,30 @@ struct SourceLineStats {
 /// tactics/lemma are "other").
 SourceLineStats countSourceLines(const std::string &Source);
 
+/// Nesting levels a recursive-descent parser holds while one construct is
+/// being parsed. Each enter() deepens \p Depth by one level (once per
+/// recursion, or once per operator of a left-associative chain, which
+/// deepens the tree without recursing); the destructor gives every level
+/// back. The parser compares Depth against its limit, so it can report
+/// hostile input instead of overflowing the stack — its own, or that of a
+/// later recursive pass over the tree it built.
+class NestingGuard {
+public:
+  explicit NestingGuard(unsigned &Depth) : Depth(Depth) {}
+  ~NestingGuard() { Depth -= Levels; }
+  NestingGuard(const NestingGuard &) = delete;
+  NestingGuard &operator=(const NestingGuard &) = delete;
+
+  void enter() {
+    ++Depth;
+    ++Levels;
+  }
+
+private:
+  unsigned &Depth;
+  unsigned Levels = 0;
+};
+
 } // namespace rcc
 
 #endif // RCC_SUPPORT_UTIL_H

@@ -36,7 +36,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -81,13 +80,6 @@ struct Event {
 /// 0 = unbounded (the default). Note the cap is per thread, so which events
 /// survive a capped multi-threaded run depends on scheduling; metrics are
 /// unaffected (they are never buffered).
-///
-/// *Lossless flush mode* (setFlushSink): instead of ring-dropping, a full
-/// buffer is handed to the sink and emptied, so a capped session loses
-/// nothing — fleet workers stream completed spans back to the coordinator
-/// this way (DESIGN.md, "Fleet & protocol v2"). The sink runs on the
-/// recording thread and must be thread-safe; `trace.flushed_events` counts
-/// what went through it.
 class TraceSession {
 public:
   explicit TraceSession(bool Deterministic = false, size_t EventCap = 0);
@@ -120,23 +112,6 @@ public:
     return Dropped.load(std::memory_order_relaxed);
   }
 
-  /// Receives a batch of events flushed out of a full per-thread buffer
-  /// (lossless flush mode; see class comment). Called on the recording
-  /// thread, possibly from several threads concurrently.
-  using FlushSink = std::function<void(std::vector<Event>)>;
-  /// Switches ring truncation to lossless flushing. Install before any
-  /// recording; pass nullptr to restore ring mode.
-  void setFlushSink(FlushSink S) { Flush = std::move(S); }
-  /// Drains every per-thread buffer through the flush sink (no-op without
-  /// one). Call after recording threads are quiescent — the final flush of
-  /// a worker's batch.
-  void flushAll();
-  /// Events handed to the flush sink so far (also mirrored into the
-  /// `trace.flushed_events` metrics counter).
-  uint64_t flushedEvents() const {
-    return Flushed.load(std::memory_order_relaxed);
-  }
-
   double elapsedUs() const;
 
 private:
@@ -164,8 +139,6 @@ private:
   bool Deterministic;
   size_t EventCap;
   std::atomic<uint64_t> Dropped{0};
-  std::atomic<uint64_t> Flushed{0};
-  FlushSink Flush;
 };
 
 /// The session installed on this thread (nullptr: tracing disabled — the

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Contracts of the verification daemon (DESIGN.md, "Verification daemon"):
-/// the JSON-lines protocol over handleLine/runStdio, the incremental
+/// the JSON-lines protocol over handleLine/runStdio/runSocket, hostile
+/// (deeply nested) saves answered with an error event, the incremental
 /// revision model (editing one function re-verifies exactly that function),
 /// L2 warm starts across daemon restarts, GC honoring the cache byte
 /// budget — plus the mutex-guarded RCC_TRACE debug log the daemon's
@@ -19,17 +20,21 @@
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Daemon.h"
+#include "support/Socket.h"
 #include "support/Util.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
-#include <unistd.h>
 #include <vector>
+
+#include <poll.h>
+#include <unistd.h>
 
 using namespace rcc;
 using namespace rcc::daemon;
@@ -285,6 +290,49 @@ TEST(Daemon, CompileErrorKeepsServingPreviousRevision) {
                                           "revision";
 }
 
+TEST(Daemon, DeeplyNestedSaveIsAnErrorAndPreviousRevisionKeepsServing) {
+  TempDir Dir;
+  std::string Src = Dir.str() + "/t.c";
+  writeFile(Src, kTwoFns);
+
+  DaemonOptions O;
+  O.Path = Src;
+  Daemon D(O);
+  Events E;
+  ASSERT_TRUE(D.checkOnce(E.sink(), /*Force=*/true));
+
+  // Hostile saves: nesting that used to overflow the stack and kill the
+  // daemon, in the C source and in an rc:: spec string.
+  const std::string Deep(100000, '(');
+  const std::string Close(100000, ')');
+  std::string Own;
+  for (int I = 0; I < 100000; ++I)
+    Own += "&own<";
+  const std::vector<std::string> Saves = {
+      "int f(int a) {\n  return " + Deep + "a" + Close + ";\n}\n",
+      "[[rc::args(\"" + Own + "int<i32>" + std::string(100000, '>') +
+          "\")]]\nint f(int *p) { return 0; }\n"};
+  for (const std::string &Save : Saves) {
+    writeFile(Src, Save);
+    Events Bad;
+    EXPECT_TRUE(D.checkOnce(Bad.sink(), /*Force=*/true));
+    std::string Err = Bad.last("\"event\": \"error\"");
+    EXPECT_NE(Err.find("nesting too deep"), std::string::npos)
+        << Err.substr(0, 300);
+    EXPECT_GT(field(Err, "line"), 0) << "the error is located";
+
+    // The previous good revision keeps serving requests.
+    Events St;
+    EXPECT_TRUE(D.handleLine("status", St.sink()));
+    EXPECT_EQ(field(St.last("\"event\": \"status\""), "functions"), 2);
+  }
+
+  writeFile(Src, kTwoFns);
+  Events Fixed;
+  EXPECT_TRUE(D.checkOnce(Fixed.sink(), /*Force=*/true));
+  EXPECT_TRUE(D.lastAllVerified());
+}
+
 //===----------------------------------------------------------------------===//
 // Restart -> L2 warm start; GC honors the byte budget
 //===----------------------------------------------------------------------===//
@@ -410,6 +458,79 @@ unsigned int inc(unsigned int x) { return x; }
   EXPECT_EQ(D.runStdio(In, Out), 1);
   EXPECT_NE(Out.str().find("\"verified\": false"), std::string::npos);
   EXPECT_NE(Out.str().find("\"all_verified\": false"), std::string::npos);
+}
+
+namespace {
+/// Reads lines from \p Fd into \p Lines until one contains \p Needle
+/// (returned) or \p TimeoutMs passes without progress ("" then).
+std::string readUntil(int Fd, std::string &Buf,
+                      std::vector<std::string> &Lines,
+                      const std::string &Needle, int TimeoutMs = 30000) {
+  for (;;) {
+    size_t NL;
+    while ((NL = Buf.find('\n')) != std::string::npos) {
+      Lines.push_back(Buf.substr(0, NL));
+      Buf.erase(0, NL + 1);
+      if (Lines.back().find(Needle) != std::string::npos)
+        return Lines.back();
+    }
+    struct pollfd PFD = {Fd, POLLIN, 0};
+    if (poll(&PFD, 1, TimeoutMs) <= 0)
+      return "";
+    char Chunk[4096];
+    ssize_t N = read(Fd, Chunk, sizeof(Chunk));
+    if (N <= 0)
+      return "";
+    Buf.append(Chunk, static_cast<size_t>(N));
+  }
+}
+} // namespace
+
+TEST(Daemon, SocketServesOneLineProtocol) {
+  TempDir Dir;
+  std::string Src = Dir.str() + "/t.c";
+  writeFile(Src, kTwoFns);
+  std::string Sock = Dir.str() + "/d.sock";
+
+  DaemonOptions O;
+  O.Path = Src;
+  Daemon D(O);
+  Daemon::resetShutdownFlag();
+  int Ret = -1;
+  std::thread Server([&] { Ret = D.runSocket(Sock); });
+
+  // The socket appears once the cold-start revision is done.
+  int Fd = -1;
+  for (int I = 0; I < 3000 && Fd < 0; ++I) {
+    std::string Err;
+    Fd = net::connectUnix(Sock, &Err);
+    if (Fd < 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(Fd, 0);
+  std::string Buf;
+  std::vector<std::string> Lines;
+
+  ASSERT_TRUE(net::sendLineBlocking(Fd, "check"));
+  EXPECT_NE(readUntil(Fd, Buf, Lines, "\"event\": \"unchanged\""), "");
+
+  // A JSON request line (the shape other protocol generations use) is an
+  // unknown command like any other, and the connection stays usable.
+  ASSERT_TRUE(net::sendLineBlocking(Fd, "{\"rcc\": \"hello\", \"v\": 2}"));
+  std::string Err = readUntil(Fd, Buf, Lines, "\"event\": \"error\"");
+  EXPECT_NE(Err.find("unknown command"), std::string::npos) << Err;
+
+  ASSERT_TRUE(net::sendLineBlocking(Fd, "status"));
+  std::string St = readUntil(Fd, Buf, Lines, "\"event\": \"status\"");
+  EXPECT_EQ(field(St, "functions"), 2);
+  EXPECT_NE(St.find("\"all_verified\": true"), std::string::npos);
+
+  ASSERT_TRUE(net::sendLineBlocking(Fd, "shutdown"));
+  EXPECT_NE(readUntil(Fd, Buf, Lines, "\"event\": \"shutdown\""), "");
+  Server.join();
+  close(Fd);
+  EXPECT_EQ(Ret, 0);
+  EXPECT_FALSE(fs::exists(Sock)) << "the socket file is removed on exit";
 }
 
 //===----------------------------------------------------------------------===//

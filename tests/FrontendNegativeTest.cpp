@@ -6,6 +6,7 @@
 
 #include "caesium/Interp.h"
 #include "frontend/Frontend.h"
+#include "frontend/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,72 @@ int64_t runs(const std::string &Src, uint64_t Seed = 0) {
 //===----------------------------------------------------------------------===//
 // Rejected inputs
 //===----------------------------------------------------------------------===//
+
+namespace {
+/// Hostile nesting: deep enough to overflow the stack of a recursive parser
+/// (or of a recursive pass over its tree) many times over.
+constexpr unsigned kHostileDepth = 100000;
+
+std::string repeat(const std::string &S, unsigned N) {
+  std::string Out;
+  Out.reserve(S.size() * N);
+  for (unsigned I = 0; I < N; ++I)
+    Out += S;
+  return Out;
+}
+
+/// A function whose body is \p Body.
+std::string fnWithBody(const std::string &Body) {
+  return "int f(int a) {\n" + Body + "\n}\n";
+}
+
+/// Compiling \p Src fails with exactly one diagnostic: the nesting limit,
+/// located on the body's line.
+void expectTooDeep(const std::string &Src) {
+  DiagnosticEngine Diags;
+  EXPECT_EQ(compileSource(Src, Diags), nullptr);
+  ASSERT_EQ(Diags.size(), 1u) << Diags.render().substr(0, 500);
+  const Diagnostic &D = Diags.diagnostics().front();
+  EXPECT_NE(D.Message.find("nesting too deep"), std::string::npos)
+      << D.Message;
+  EXPECT_EQ(D.Loc.Line, 2u);
+}
+} // namespace
+
+TEST(FrontendNegative, DeeplyNestedParenthesesAreRejected) {
+  expectTooDeep(fnWithBody("return " + repeat("(", kHostileDepth) + "a" +
+                           repeat(")", kHostileDepth) + ";"));
+}
+
+TEST(FrontendNegative, LongPrefixNotChainIsRejected) {
+  expectTooDeep(fnWithBody("return " + repeat("!", kHostileDepth) + "a;"));
+}
+
+TEST(FrontendNegative, DeeplyNestedBlocksAreRejected) {
+  expectTooDeep(fnWithBody(repeat("{", kHostileDepth) +
+                           repeat("}", kHostileDepth) + " return a;"));
+}
+
+TEST(FrontendNegative, LongOperatorChainsAreRejected) {
+  // Left-associative chains deepen the tree without recursing in the
+  // parser; the passes after it recurse on that depth.
+  expectTooDeep(fnWithBody("return " + repeat("a + ", kHostileDepth) + "a;"));
+  expectTooDeep(fnWithBody("return a" + repeat("[0]", kHostileDepth) + ";"));
+  expectTooDeep(fnWithBody("int b; " + repeat("b = ", kHostileDepth) +
+                           "a; return b;"));
+  expectTooDeep(fnWithBody("return " + repeat("a ? a : ", kHostileDepth) +
+                           "a;"));
+  expectTooDeep(fnWithBody("int " + repeat("*", kHostileDepth) + "p; return a;"));
+}
+
+TEST(FrontendNegative, NestingBelowTheLimitCompiles) {
+  constexpr unsigned Depth = Parser::kMaxNestingDepth - 16;
+  DiagnosticEngine Diags;
+  std::string Src = fnWithBody(
+      repeat("{", Depth / 2) + "return " + repeat("(", Depth / 2) + "a" +
+      repeat(")", Depth / 2) + ";" + repeat("}", Depth / 2));
+  EXPECT_NE(compileSource(Src, Diags), nullptr) << Diags.render(Src);
+}
 
 TEST(FrontendNegative, SyntaxErrors) {
   EXPECT_TRUE(compileFails("int main( { return 0; }"));

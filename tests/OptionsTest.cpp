@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The strictness contracts of the shared OptionParser (DESIGN.md, "Fleet &
-/// protocol v2"): unknown flags are errors, numeric values reject garbage
-/// and out-of-range inputs at parse time, value flags demand values, and
-/// positionals pass through untouched. verify_tool, verifyd, and rcc-lsp
+/// The strictness contracts of the shared OptionParser (DESIGN.md,
+/// "Verification daemon"): unknown flags are errors, numeric values reject
+/// garbage and out-of-range inputs at parse time, value flags demand
+/// values, and positionals pass through untouched. verify_tool, verifyd, and rcc-lsp
 /// all parse through this one implementation, so these are the CLI
 /// contracts of every tool at once.
 ///

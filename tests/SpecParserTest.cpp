@@ -157,6 +157,80 @@ TEST_F(SpecFixture, ErrorsAreReported) {
   EXPECT_TRUE(failsType("q @ int<size_t>")); // unbound refinement variable
 }
 
+namespace {
+/// Hostile nesting: deep enough to overflow the stack of a recursive parser
+/// (or of a recursive pass over the terms it builds) many times over.
+constexpr unsigned kHostileDepth = 100000;
+
+std::string repeat(const std::string &S, unsigned N) {
+  std::string Out;
+  Out.reserve(S.size() * N);
+  for (unsigned I = 0; I < N; ++I)
+    Out += S;
+  return Out;
+}
+
+/// The spec fails with exactly one diagnostic, the nesting limit, at the
+/// annotation's location.
+void expectTooDeep(const DiagnosticEngine &D, bool HadError) {
+  EXPECT_TRUE(HadError);
+  ASSERT_EQ(D.size(), 1u) << D.render().substr(0, 500);
+  EXPECT_NE(D.diagnostics().front().Message.find("nesting too deep"),
+            std::string::npos);
+  EXPECT_EQ(D.diagnostics().front().Loc.Line, 7u);
+}
+} // namespace
+
+TEST_F(SpecFixture, DeeplyNestedOwnTypeIsRejected) {
+  // The shape of a hostile rc::args string.
+  std::string S = repeat("&own<", kHostileDepth) + "int<i32>" +
+                  repeat(">", kHostileDepth);
+  DiagnosticEngine D;
+  SpecParser P(S, Env, Scope, D, {7, 3});
+  P.parseTypeFull();
+  expectTooDeep(D, P.hadError());
+}
+
+TEST_F(SpecFixture, DeeplyNestedTermParenthesesAreRejected) {
+  // The shape of a hostile rc::requires string.
+  std::string S = "{" + repeat("(", kHostileDepth) + "n" +
+                  repeat(")", kHostileDepth) + " = 0}";
+  DiagnosticEngine D;
+  SpecParser P(S, Env, Scope, D, {7, 3});
+  ResAtom A;
+  P.parseAtomFull(A);
+  expectTooDeep(D, P.hadError());
+}
+
+TEST_F(SpecFixture, DeeplyNestedRefinementIsRejected) {
+  // Hit inside the speculative refinement parse, whose errors are
+  // otherwise silenced: the limit must still be reported.
+  std::string S = "{" + repeat("(", kHostileDepth) + "n" +
+                  repeat(")", kHostileDepth) + "} @ int<i32>";
+  DiagnosticEngine D;
+  SpecParser P(S, Env, Scope, D, {7, 3});
+  P.parseTypeFull();
+  expectTooDeep(D, P.hadError());
+}
+
+TEST_F(SpecFixture, LongTermChainsAreRejected) {
+  for (const std::string &S :
+       {repeat("n + ", kHostileDepth) + "n", repeat("!", kHostileDepth) + "a",
+        repeat("n -> ", kHostileDepth) + "n",
+        repeat("a = 0 && ", kHostileDepth) + "a = 0"}) {
+    DiagnosticEngine D;
+    SpecParser P(S, Env, Scope, D, {7, 3});
+    P.parseTermFull();
+    expectTooDeep(D, P.hadError());
+  }
+}
+
+TEST_F(SpecFixture, NestingBelowTheLimitParses) {
+  constexpr unsigned Depth = SpecParser::kMaxNestingDepth - 16;
+  parseType(repeat("&own<", Depth / 2) + "int<i32>" + repeat(">", Depth / 2));
+  parseTerm(repeat("(", Depth / 2) + "n" + repeat(")", Depth / 2));
+}
+
 //===----------------------------------------------------------------------===//
 // Terms
 //===----------------------------------------------------------------------===//

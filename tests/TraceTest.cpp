@@ -506,61 +506,3 @@ TEST(Trace, CappedVerificationRunStillReportsMetrics) {
   EXPECT_NE(PR.Metrics.find("trace.dropped_events"), std::string::npos);
   EXPECT_NE(PR.Metrics.find("engine.rule_apps"), std::string::npos);
 }
-
-//===----------------------------------------------------------------------===//
-// Lossless flush mode (fleet workers stream spans instead of dropping)
-//===----------------------------------------------------------------------===//
-
-TEST(Trace, FlushSinkIsLosslessUnderCap) {
-  TraceSession TS(/*Deterministic=*/false, /*EventCap=*/10);
-  std::vector<Event> Flushed;
-  TS.setFlushSink([&Flushed](std::vector<Event> Batch) {
-    for (Event &E : Batch)
-      Flushed.push_back(std::move(E));
-  });
-  {
-    SessionScope Scope(&TS);
-    for (unsigned I = 0; I < 100; ++I)
-      TS.instant(Category::Other, "e" + std::to_string(I));
-  }
-  TS.flushAll();
-
-  // Nothing dropped: every recorded event went through the sink.
-  EXPECT_EQ(TS.droppedEvents(), 0u);
-  EXPECT_EQ(TS.metrics().counter("trace.dropped_events").get(), 0u);
-  EXPECT_EQ(TS.flushedEvents(), 100u);
-  EXPECT_EQ(TS.metrics().counter("trace.flushed_events").get(), 100u);
-  ASSERT_EQ(Flushed.size(), 100u);
-  for (unsigned I = 0; I < 100; ++I) {
-    EXPECT_EQ(Flushed[I].Name, "e" + std::to_string(I));
-    EXPECT_EQ(Flushed[I].Seq, I);
-  }
-  // Flushed buffers are emptied, not merely copied out.
-  EXPECT_EQ(TS.numEvents(), 0u);
-}
-
-TEST(Trace, FlushSinkLosslessAcrossThreads) {
-  constexpr unsigned NThreads = 4, PerThread = 57;
-  TraceSession TS(/*Deterministic=*/false, /*EventCap=*/8);
-  std::mutex M;
-  uint64_t SinkCount = 0;
-  TS.setFlushSink([&](std::vector<Event> Batch) {
-    std::lock_guard<std::mutex> L(M);
-    SinkCount += Batch.size();
-  });
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < NThreads; ++T)
-    Threads.emplace_back([&TS] {
-      SessionScope Scope(&TS);
-      for (unsigned I = 0; I < PerThread; ++I)
-        TS.instant(Category::Other, "x");
-    });
-  for (auto &Th : Threads)
-    Th.join();
-  TS.flushAll();
-
-  EXPECT_EQ(TS.droppedEvents(), 0u);
-  EXPECT_EQ(TS.flushedEvents(), NThreads * PerThread);
-  EXPECT_EQ(SinkCount, NThreads * PerThread);
-  EXPECT_EQ(TS.numEvents(), 0u);
-}
