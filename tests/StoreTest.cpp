@@ -435,6 +435,66 @@ TEST(Store, TamperedEntryFailsReplayAndIsReVerified) {
   EXPECT_EQ(countEntries(Dir.str()), 1u) << "healed entry re-published";
 }
 
+/// A function whose spec does not hold: `m <= 0` fails for the returned
+/// maximum.
+const char *kMaxSzUnprovable = R"(
+[[rc::parameters("a: nat", "b: nat")]]
+[[rc::args("a @ int<size_t>", "b @ int<size_t>")]]
+[[rc::exists("m: nat")]]
+[[rc::returns("m @ int<size_t>")]]
+[[rc::ensures("{a <= m}", "{b <= m}", "{m <= 0}")]]
+size_t max_sz(size_t a, size_t b) {
+  return a < b ? b : a;
+}
+)";
+
+TEST(Store, ForgedTrustedBitIsNotBelieved) {
+  // `Trusted` (rc::trust_me) skips replay, so it must come from the current
+  // source, never from the entry: a well-formed entry that claims
+  // Verified = Trusted = true for a function without rc::trust_me is
+  // dropped and the function verified afresh — and still fails.
+  TempDir Dir;
+  auto AP = compile(kMaxSzUnprovable);
+  VerifyOptions Opts;
+  Opts.Recheck = true;
+  Opts.CacheDir = Dir.str();
+  {
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv());
+    ProgramResult PR = C.verifyFunctions({"max_sz"}, Opts);
+    ASSERT_EQ(PR.Fns.size(), 1u);
+    ASSERT_FALSE(PR.Fns[0].Verified);
+  }
+  ASSERT_EQ(countEntries(Dir.str()), 1u);
+
+  // The entry file is `max_sz.<key-hex>.rcv`.
+  uint64_t Key = 0;
+  for (const auto &E : fs::directory_iterator(Dir.str()))
+    if (E.path().extension() == ".rcv")
+      Key = std::stoull(E.path().stem().extension().string().substr(1),
+                        nullptr, 16);
+  DiskResultStore Disk(Dir.str());
+  FnResult Entry;
+  ASSERT_TRUE(Disk.get("max_sz", Key, Entry));
+  Entry.Verified = true;
+  Entry.Trusted = true;
+  Entry.Error.clear();
+  Disk.put("max_sz", Key, Entry);
+
+  DiagnosticEngine Diags;
+  Checker C(*AP, Diags);
+  ASSERT_TRUE(C.buildEnv());
+  ProgramResult PR = C.verifyFunctions({"max_sz"}, Opts);
+  ASSERT_EQ(PR.Fns.size(), 1u);
+  EXPECT_FALSE(PR.Fns[0].Verified);
+  EXPECT_FALSE(PR.Fns[0].Trusted);
+  EXPECT_FALSE(PR.Fns[0].CacheHit);
+  EXPECT_EQ(PR.CacheHits, 0u);
+  EXPECT_EQ(PR.CacheMisses, 1u);
+  EXPECT_FALSE(PR.allVerified());
+}
+
 TEST(Store, EditedSpecForcesMiss) {
   TempDir Dir;
   VerifyOptions Opts;
