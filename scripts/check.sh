@@ -172,16 +172,19 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   # 10. TSan configuration for the threaded code: the parallel driver
   #     (per-job solver copies, shared session state, result-store tiers)
   #     and the ThreadPool it runs on, plus the pure solvers those jobs run
-  #     concurrently. TSan also reports any pool thread still running at
-  #     exit.
+  #     concurrently, each with its own normalization memo
+  #     (Portfolio.CopiedSolverProvesIndependently proves on four threads).
+  #     TSan also reports any pool thread still running at exit.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
   cmake --build build-tsan -j"$(nproc)" --target test_parallel test_support \
-      test_bitvector test_linear_overflow
+      test_bitvector test_linear_overflow test_pure_solver test_portfolio
   ./build-tsan/tests/test_parallel
   ./build-tsan/tests/test_support
   ./build-tsan/tests/test_bitvector
   ./build-tsan/tests/test_linear_overflow
+  ./build-tsan/tests/test_pure_solver
+  ./build-tsan/tests/test_portfolio
 fi
 
 echo "check.sh: all green"

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 using namespace rcc::pure;
@@ -27,6 +26,14 @@ namespace {
 /// Variable order is the integer order of variable ids (the blaster assigns
 /// ids bit-position-major so vectors compared bit-by-bit interleave).
 ///
+/// Both tables are flat arrays. The unique table is open-addressed over
+/// node indices (0, the false terminal, is never entered, so it marks an
+/// empty slot) and doubles at 50% load. The ite cache is direct-mapped and
+/// lossy: a colliding entry overwrites the old one, and a lost entry only
+/// costs a recomputation that finds every node it builds already unique,
+/// so the node vector, and with it the budget, is exactly what a complete
+/// cache would give.
+///
 /// The engine is budgeted: once the node count passes the budget,
 /// `Exhausted` latches and every result is garbage — callers must check
 /// `exhausted()` before trusting any ref. That keeps the hot loop free of
@@ -35,7 +42,8 @@ class Bdd {
 public:
   static constexpr uint32_t F = 0, T = 1;
 
-  explicit Bdd(size_t NodeBudget) : Budget(NodeBudget) {
+  explicit Bdd(size_t NodeBudget)
+      : Unique(InitialSlots, 0), Cache(InitialSlots), Budget(NodeBudget) {
     Nodes.push_back({Terminal, 0, 0}); // F
     Nodes.push_back({Terminal, 1, 1}); // T
   }
@@ -60,42 +68,43 @@ public:
       return Then;
     if (Then == T && Else == F)
       return Cond;
-    IteKey K{Cond, Then, Else};
-    auto It = IteCache.find(K);
-    if (It != IteCache.end())
-      return It->second;
+    // Cond is never a terminal here, so C == 0 marks an empty cache entry.
+    const IteEntry E = Cache[hash3(Cond, Then, Else) & (Cache.size() - 1)];
+    if (E.C == Cond && E.G == Then && E.H == Else)
+      return E.R;
     int32_t V = std::min({topVar(Cond), topVar(Then), topVar(Else)});
     uint32_t Lo = ite(cof(Cond, V, false), cof(Then, V, false),
                       cof(Else, V, false));
     uint32_t Hi =
         ite(cof(Cond, V, true), cof(Then, V, true), cof(Else, V, true));
     uint32_t R = mk(V, Lo, Hi);
-    IteCache.emplace(K, R);
+    // The recursion may have grown (and so reallocated) the cache.
+    Cache[hash3(Cond, Then, Else) & (Cache.size() - 1)] = {Cond, Then, Else,
+                                                           R};
     return R;
   }
 
 private:
   static constexpr int32_t Terminal = INT32_MAX;
+  static constexpr size_t InitialSlots = 1024;
+  /// The cache follows the unique table's size up to 2^18 entries (4 MB).
+  static constexpr size_t MaxCacheEntries = size_t(1) << 18;
 
   struct Node {
     int32_t Var;
     uint32_t Lo, Hi;
   };
-  struct IteKey {
-    uint32_t C, G, H;
-    bool operator==(const IteKey &O) const {
-      return C == O.C && G == O.G && H == O.H;
-    }
+  struct IteEntry {
+    uint32_t C = 0, G = 0, H = 0, R = 0;
   };
-  struct IteKeyHash {
-    size_t operator()(const IteKey &K) const {
-      uint64_t X = (uint64_t(K.C) << 32) ^ (uint64_t(K.G) << 11) ^ K.H;
-      X ^= X >> 33;
-      X *= 0xff51afd7ed558ccdULL;
-      X ^= X >> 33;
-      return size_t(X);
-    }
-  };
+
+  static size_t hash3(uint32_t A, uint32_t B, uint32_t C) {
+    uint64_t X = (uint64_t(A) << 32) ^ (uint64_t(B) << 11) ^ C;
+    X ^= X >> 33;
+    X *= 0xff51afd7ed558ccdULL;
+    X ^= X >> 33;
+    return size_t(X);
+  }
 
   int32_t topVar(uint32_t N) const { return Nodes[N].Var; }
 
@@ -109,36 +118,50 @@ private:
   uint32_t mk(int32_t V, uint32_t Lo, uint32_t Hi) {
     if (Lo == Hi)
       return Lo;
-    NodeKey Key{V, Lo, Hi};
-    auto It = Unique.find(Key);
-    if (It != Unique.end())
-      return It->second;
+    size_t Mask = Unique.size() - 1;
+    size_t I = hash3(uint32_t(V), Lo, Hi) & Mask;
+    for (; Unique[I] != 0; I = (I + 1) & Mask) {
+      const Node &Nd = Nodes[Unique[I]];
+      if (Nd.Var == V && Nd.Lo == Lo && Nd.Hi == Hi)
+        return Unique[I];
+    }
     if (Nodes.size() >= Budget) {
       Exhausted = true;
       return F;
     }
     Nodes.push_back({V, Lo, Hi});
     uint32_t R = uint32_t(Nodes.size() - 1);
-    Unique.emplace(Key, R);
+    Unique[I] = R;
+    if (2 * Nodes.size() > Unique.size())
+      grow();
     return R;
   }
 
-  struct NodeKey {
-    int32_t Var;
-    uint32_t Lo, Hi;
-    bool operator==(const NodeKey &O) const {
-      return Var == O.Var && Lo == O.Lo && Hi == O.Hi;
+  /// Doubles the unique table, re-entering every node, and lets the cache
+  /// follow; cache entries are re-entered where they still fit.
+  void grow() {
+    std::vector<uint32_t> Table(2 * Unique.size(), 0);
+    size_t Mask = Table.size() - 1;
+    for (uint32_t N = 2; N < Nodes.size(); ++N) {
+      const Node &Nd = Nodes[N];
+      size_t I = hash3(uint32_t(Nd.Var), Nd.Lo, Nd.Hi) & Mask;
+      while (Table[I] != 0)
+        I = (I + 1) & Mask;
+      Table[I] = N;
     }
-  };
-  struct NodeKeyHash {
-    size_t operator()(const NodeKey &K) const {
-      return IteKeyHash{}(IteKey{uint32_t(K.Var), K.Lo, K.Hi});
-    }
-  };
+    Unique = std::move(Table);
+    if (Cache.size() >= MaxCacheEntries)
+      return;
+    std::vector<IteEntry> Bigger(2 * Cache.size());
+    for (const IteEntry &E : Cache)
+      if (E.C != 0)
+        Bigger[hash3(E.C, E.G, E.H) & (Bigger.size() - 1)] = E;
+    Cache = std::move(Bigger);
+  }
 
   std::vector<Node> Nodes;
-  std::unordered_map<NodeKey, uint32_t, NodeKeyHash> Unique;
-  std::unordered_map<IteKey, uint32_t, IteKeyHash> IteCache;
+  std::vector<uint32_t> Unique;
+  std::vector<IteEntry> Cache;
   size_t Budget;
   bool Exhausted = false;
 };

@@ -20,9 +20,9 @@ namespace {
 using Wide = __int128;
 
 /// Sticky per-thread overflow witness. Solver verdicts are trusted leaves of
-/// the proof (the ProofChecker replays rule applications, not side-condition
-/// proofs), so wrapped coefficient arithmetic here could discharge a false
-/// VC. Every arithmetic step routes through the *Chk helpers below; the flag
+/// the proof: the ProofChecker does re-prove every side condition, but with
+/// this same solver code, so a wrongly proved goal is proved wrongly again
+/// and wrapped coefficient arithmetic here could discharge a false VC. Every arithmetic step routes through the *Chk helpers below; the flag
 /// is cleared only at the public entry points (prove / inconsistent), which
 /// AND their result with !Overflowed. Internal probes (tightenNatSubs,
 /// addCongruences, Ne splits) deliberately do NOT save/restore it: wrapped

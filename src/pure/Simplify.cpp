@@ -6,9 +6,21 @@
 
 #include "pure/Simplify.h"
 
+#include <atomic>
+
 using namespace rcc::pure;
 
-Simplifier::Simplifier() = default;
+static uint64_t nextVersion() {
+  static std::atomic<uint64_t> Next{1};
+  return Next.fetch_add(1, std::memory_order_relaxed);
+}
+
+Simplifier::Simplifier() : Version(nextVersion()) {}
+
+void Simplifier::addRule(RewriteRule R) {
+  Rules.push_back(std::move(R));
+  Version = nextVersion();
+}
 
 namespace {
 bool bothConst(TermRef T) { return T->arg(0)->isConst() && T->arg(1)->isConst(); }

@@ -19,6 +19,7 @@
 
 #include "pure/Term.h"
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -46,12 +47,19 @@ public:
   /// such as `xs ++ ys = [] -> xs = [] /\ ys = []` are applied.
   std::vector<TermRef> expandHyp(TermRef H) const;
 
-  void addRule(RewriteRule R) { Rules.push_back(std::move(R)); }
+  void addRule(RewriteRule R);
   const std::vector<RewriteRule> &rules() const { return Rules; }
+
+  /// Names the rule list: construction and every addRule draw a fresh
+  /// process-wide value, and copies keep their source's. Equal versions
+  /// mean equal rule lists, so a cache of simplification results stays
+  /// valid exactly as long as the version it was filled under.
+  uint64_t version() const { return Version; }
 
 private:
   TermRef simplifyNode(TermRef T) const;
   std::vector<RewriteRule> Rules;
+  uint64_t Version;
 };
 
 } // namespace rcc::pure

@@ -42,15 +42,22 @@ bool PureSolver::solverEnabled(const std::string &Name) const {
 // Hypothesis preprocessing
 //===----------------------------------------------------------------------===//
 
-std::vector<TermRef> PureSolver::preprocessHyps(std::vector<TermRef> Hyps,
-                                                const EvarEnv &Env,
-                                                TermRef &Goal) {
-  std::vector<TermRef> Out;
-  for (TermRef H : Hyps) {
-    TermRef R = Simp.simplify(Env.resolve(H));
-    for (TermRef E : Simp.expandHyp(R))
-      Out.push_back(E);
+size_t PureSolver::HypsHash::operator()(const std::vector<TermRef> &Hs) const {
+  uint64_t H = Hs.size();
+  for (TermRef T : Hs) {
+    H ^= reinterpret_cast<uintptr_t>(T) + 0x9e3779b97f4a7c15ULL + (H << 6) +
+         (H >> 2);
   }
+  return size_t(H);
+}
+
+PureSolver::NormalForm
+PureSolver::normalize(const std::vector<TermRef> &Resolved) const {
+  NormalForm NF;
+  std::vector<TermRef> Out;
+  for (TermRef H : Resolved)
+    for (TermRef E : Simp.expandHyp(Simp.simplify(H)))
+      Out.push_back(E);
 
   // Equational substitution pass: a hypothesis v = t (v a variable not free
   // in t) rewrites v to t everywhere, modeling the paper's normalization of
@@ -88,16 +95,41 @@ std::vector<TermRef> PureSolver::preprocessHyps(std::vector<TermRef> Hyps,
     // Keep the defining equation so other solvers can still see it.
     Next.push_back(mkEq(mkVar(Name, Repl->sort()), Repl));
     Out = std::move(Next);
-    Goal = Simp.simplify(substVar(Goal, Name, Repl));
+    NF.Substs.emplace_back(std::move(Name), Repl);
   }
 
   // Deduplicate.
   std::set<TermRef> Seen;
-  std::vector<TermRef> Dedup;
   for (TermRef H : Out)
     if (Seen.insert(H).second)
-      Dedup.push_back(H);
-  return Dedup;
+      NF.Hyps.push_back(H);
+  return NF;
+}
+
+/// Bounds the memo. A figure-7 function's search or replay holds at most 13
+/// distinct contexts, so the bound only trips on unusual inputs, where
+/// dropping the whole memo keeps memory flat.
+static constexpr size_t MaxMemoEntries = 4096;
+
+std::vector<TermRef> PureSolver::preprocessHyps(std::vector<TermRef> Hyps,
+                                                const EvarEnv &Env,
+                                                TermRef &Goal) {
+  for (TermRef &H : Hyps)
+    H = Env.resolve(H);
+  if (Memo.SimpVersion != Simp.version()) {
+    Memo.Map.clear();
+    Memo.SimpVersion = Simp.version();
+  }
+  auto It = Memo.Map.find(Hyps);
+  if (It == Memo.Map.end()) {
+    if (Memo.Map.size() >= MaxMemoEntries)
+      Memo.Map.clear();
+    NormalForm NF = normalize(Hyps);
+    It = Memo.Map.emplace(std::move(Hyps), std::move(NF)).first;
+  }
+  for (const auto &[Name, Repl] : It->second.Substs)
+    Goal = Simp.simplify(substVar(Goal, Name, Repl));
+  return It->second.Hyps;
 }
 
 //===----------------------------------------------------------------------===//

@@ -24,6 +24,8 @@
 #include "pure/Term.h"
 
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace rcc::pure {
@@ -63,7 +65,7 @@ struct SolverStats {
 class PureSolver {
 public:
   /// Copyable: the parallel driver clones a per-job solver from a session
-  /// prototype.
+  /// prototype. A copy starts with an empty normalization memo.
   PureSolver() = default;
   PureSolver(const PureSolver &) = default;
   PureSolver &operator=(const PureSolver &) = default;
@@ -108,11 +110,40 @@ private:
   std::vector<TermRef> preprocessHyps(std::vector<TermRef> Hyps,
                                       const EvarEnv &Env, TermRef &Goal);
 
+  /// What preprocessHyps makes of one resolved hypothesis vector: the
+  /// deduplicated normal form, and the equational substitutions it applied,
+  /// in order, which rewrite the goal.
+  struct NormalForm {
+    std::vector<TermRef> Hyps;
+    std::vector<std::pair<std::string, TermRef>> Substs;
+  };
+  NormalForm normalize(const std::vector<TermRef> &Resolved) const;
+
+  struct HypsHash {
+    size_t operator()(const std::vector<TermRef> &Hs) const;
+  };
+  /// Normal forms by resolved hypothesis vector (DESIGN.md, "Solver
+  /// portfolio").
+  /// Owned by one solver instance: copies start empty, and it is dropped
+  /// when the simplifier's rule list changes or when it reaches its bound.
+  /// Terms are never freed, so pointer keys cannot be reused.
+  struct NormMemo {
+    NormMemo() = default;
+    NormMemo(const NormMemo &) {}
+    NormMemo &operator=(const NormMemo &) {
+      Map.clear();
+      return *this;
+    }
+    std::unordered_map<std::vector<TermRef>, NormalForm, HypsHash> Map;
+    uint64_t SimpVersion = 0;
+  };
+
   Simplifier Simp;
   std::vector<std::string> ExtraSolvers;
   std::vector<Lemma> Lemmas;
   SolverStats Stats;
   PortfolioMode Portfolio = PortfolioMode::On;
+  NormMemo Memo;
 };
 
 } // namespace rcc::pure

@@ -19,10 +19,10 @@ ProofCheckResult ProofChecker::check(const Derivation &D,
   trace::count("proofcheck.steps", D.Steps.size());
   ProofCheckResult R;
 
-  // A fresh, independent solver: the engine's solver state (enabled
-  // tactics) is not trusted; the replay enables everything a Coq-side
-  // checker would accept (registered decision procedures and the statements
-  // of manually proved lemmas).
+  // One fresh solver for this derivation: the engine's solver state
+  // (enabled tactics, normalization memo) is not trusted; the replay enables
+  // everything a Coq-side checker would accept (registered decision
+  // procedures and the statements of manually proved lemmas).
   pure::PureSolver Solver;
   Solver.enableSolver("multiset_solver");
   Solver.enableSolver("set_solver");

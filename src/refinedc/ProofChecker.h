@@ -9,8 +9,11 @@
 /// untrusted; every successful verification yields a Derivation, and this
 /// module replays it independently. It checks that (a) every applied rule
 /// exists in the registry, (b) every pure side condition re-proves from the
-/// hypotheses recorded at that step using a fresh solver instance, and (c)
-/// the derivation is structurally well-formed. This mirrors the paper's
+/// hypotheses recorded at that step, and (c) the derivation is structurally
+/// well-formed. Each `check` builds one fresh solver for the whole
+/// derivation: it runs the same solver code as the search, but shares no
+/// state with the search's solver, and its normalization memo lives and
+/// dies with that one call. This mirrors the paper's
 /// argument that "the Lithium interpreter need not be trusted since it
 /// generates proofs" (Section 3) — here the proof object is the derivation
 /// and the checker is the smaller trusted component.

@@ -232,4 +232,74 @@ TEST(BitVectorDifferential, AgreesWithBruteForceOnSmallWidths) {
   EXPECT_LT(ProvedCnt, Checked);
 }
 
+//===----------------------------------------------------------------------===//
+// Wide goals: 32-bit words whose adders and shifters build thousands of BDD
+// nodes, so the unique table doubles several times during one proof and the
+// direct-mapped ite cache sees more distinct calls than it has entries.
+// Valid goals are textbook identities; each invalid one names its
+// counterexample, checked by the brute-force evaluator above.
+//===----------------------------------------------------------------------===//
+
+std::vector<TermRef> wordFacts() {
+  return {mkLe(nvar("x"), mkNat(U32Max)), mkLe(nvar("y"), mkNat(U32Max)),
+          mkLe(nvar("z"), mkNat(U32Max)), mkLt(nvar("e"), mkNat(32))};
+}
+
+TEST(BitVectorWide, AdderIdentitiesAreProved) {
+  TermRef X = nvar("x"), Y = nvar("y"), Z = nvar("z");
+  std::vector<TermRef> Facts = wordFacts();
+  // x + y = (x ^ y) + 2 (x & y): the half-adder decomposition.
+  EXPECT_TRUE(BitVectorSolver::prove(
+      Facts, mkEq(mkAdd(lxor(X, Y), mkMul(land(X, Y), mkNat(2))),
+                  mkAdd(X, Y))));
+  // (x & y) + (x | y) = x + y.
+  EXPECT_TRUE(BitVectorSolver::prove(
+      Facts, mkEq(mkAdd(land(X, Y), lor(X, Y)), mkAdd(X, Y))));
+  // x | y <= x + y.
+  EXPECT_TRUE(BitVectorSolver::prove(Facts, mkLe(lor(X, Y), mkAdd(X, Y))));
+  // (x | y) & z = (x & z) | (y & z), with a three-word sum on both sides.
+  EXPECT_TRUE(BitVectorSolver::prove(
+      Facts, mkEq(mkAdd(land(lor(X, Y), Z), mkAdd(X, Y)),
+                  mkAdd(lor(land(X, Z), land(Y, Z)), mkAdd(Y, X)))));
+}
+
+TEST(BitVectorWide, ShiftRoundTripIsProved) {
+  TermRef X = nvar("x"), E = nvar("e");
+  std::vector<TermRef> Facts = wordFacts();
+  // (x << e) >> e = x for any shift below the width growth.
+  EXPECT_TRUE(BitVectorSolver::prove(
+      Facts, mkEq(mkDiv(mkMul(X, pow2(E)), pow2(E)), X)));
+  // (x >> e) << e <= x.
+  EXPECT_TRUE(BitVectorSolver::prove(
+      Facts, mkLe(mkMul(mkDiv(X, pow2(E)), pow2(E)), X)));
+}
+
+TEST(BitVectorWide, InvalidWideGoalsAreNotProved) {
+  TermRef X = nvar("x"), Y = nvar("y"), E = nvar("e");
+  std::vector<TermRef> Facts = wordFacts();
+  struct Case {
+    TermRef Goal;
+    std::map<std::string, int64_t> Cex;
+  };
+  std::vector<Case> Cases = {
+      // x + y <= x | y fails at x = y = 1.
+      {mkLe(mkAdd(X, Y), lor(X, Y)), {{"x", 1}, {"y", 1}}},
+      // (x >> e) << e = x fails at x = 1, e = 1.
+      {mkEq(mkMul(mkDiv(X, pow2(E)), pow2(E)), X), {{"x", 1}, {"e", 1}}},
+      // (x ^ y) + (x & y) = x + y fails at x = y = 1.
+      {mkEq(mkAdd(lxor(X, Y), land(X, Y)), mkAdd(X, Y)),
+       {{"x", 1}, {"y", 1}}},
+      // x << e <= 2^32 - 1 fails at x = 2^32 - 1, e = 1.
+      {mkLe(mkMul(X, pow2(E)), mkNat(U32Max)), {{"x", U32Max}, {"e", 1}}},
+  };
+  for (Case &C : Cases) {
+    for (const char *V : {"x", "y", "z", "e"})
+      C.Cex.emplace(V, 0);
+    for (TermRef F : Facts)
+      ASSERT_TRUE(evalP(F, C.Cex)) << "counterexample violates " << F->str();
+    ASSERT_FALSE(evalP(C.Goal, C.Cex)) << "not a counterexample";
+    EXPECT_FALSE(BitVectorSolver::prove(Facts, C.Goal)) << C.Goal->str();
+  }
+}
+
 } // namespace

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace rcc::pure;
 
 namespace {
@@ -318,4 +320,174 @@ TEST(PureSolver, FreelistInsertInvariant) {
   SolveResult R = PS.prove(Hyps, Goal, Env);
   EXPECT_TRUE(R.Proved) << R.FailureReason;
   EXPECT_TRUE(R.Manual);
+}
+
+//===----------------------------------------------------------------------===//
+// The per-instance normalization memo
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One battery goal, built identically into each EvarEnv it is given: the
+/// evars it allocates get the same ids, so verdicts and bindings compare
+/// across environments by pointer.
+struct MemoCase {
+  std::vector<TermRef> Hyps;
+  TermRef Goal = nullptr;
+  std::vector<TermRef> Evars; ///< compared by their resolved form
+};
+
+/// Builds case \p Kind over context \p Gamma. The evar ?p is bound per
+/// case to a different variable; when \p MentionP, the context mentions it,
+/// so equal unresolved contexts resolve to different ones.
+MemoCase buildMemoCase(unsigned Kind, unsigned PBind, bool MentionP,
+                       const std::vector<TermRef> &Gamma, EvarEnv &Env) {
+  TermRef A = nvar("a"), B = nvar("b"), C = nvar("c"), N = nvar("n");
+  MemoCase MC;
+  TermRef P = Env.fresh(Sort::Nat, "p");
+  Env.unseal(P->num());
+  Env.bind(P->num(), PBind == 0 ? A : PBind == 1 ? C : N);
+  MC.Evars.push_back(P);
+  MC.Hyps = Gamma;
+  if (MentionP)
+    MC.Hyps.push_back(mkLe(P, mkNat(1000)));
+  switch (Kind) {
+  case 0:
+    MC.Goal = mkLe(mkSub(A, N), A);
+    break;
+  case 1:
+    MC.Goal = mkLe(C, A);
+    break;
+  case 2:
+    MC.Goal = mkEq(mkLLen(mkVar("xs", Sort::List)), mkNat(0));
+    break;
+  case 3: { // ?b
+    TermRef E = Env.fresh(Sort::Bool, "b");
+    MC.Evars.push_back(E);
+    MC.Goal = E;
+    break;
+  }
+  case 4: { // ?xs != []
+    TermRef E = Env.fresh(Sort::List, "xs");
+    MC.Evars.push_back(E);
+    MC.Goal = mkNe(E, mkLNil());
+    break;
+  }
+  case 5: { // ?k = b + 1
+    TermRef E = Env.fresh(Sort::Nat, "k");
+    MC.Evars.push_back(E);
+    MC.Goal = mkEq(E, mkAdd(B, mkNat(1)));
+    break;
+  }
+  case 6: // exists k, k = b /\ a <= b + k
+    MC.Goal = mkExists(
+        "k", Sort::Nat,
+        mkAnd(mkEq(mkVar("k", Sort::Nat), B),
+              mkLe(A, mkAdd(B, mkVar("k", Sort::Nat)))));
+    break;
+  case 7: // needs the context's ?p = n
+    MC.Hyps.push_back(mkEq(P, N));
+    MC.Goal = mkLe(N, A);
+    break;
+  case 8: // multiset goal: proved by the extra solver, counted manual
+    MC.Hyps.push_back(mkEq(mkVar("s", Sort::MSet),
+                           mkMUnion(mkMSingle(N), mkVar("t", Sort::MSet))));
+    MC.Goal = mkNe(mkVar("s", Sort::MSet), mkMEmpty());
+    break;
+  default: // unprovable in general
+    MC.Goal = mkLe(A, N);
+    break;
+  }
+  return MC;
+}
+
+} // namespace
+
+TEST(PureSolverMemo, WarmSolverMatchesFreshSolverPerGoal) {
+  // A seeded battery proved in sequence by one warm solver, over a shared
+  // context that grows, shrinks back and mentions bound evars, must agree
+  // goal by goal with a fresh solver per goal: same verdict, manual bit,
+  // engine and evar bindings.
+  TermRef A = nvar("a"), B = nvar("b"), C = nvar("c"), N = nvar("n");
+  TermRef Xs = mkVar("xs", Sort::List), Ys = mkVar("ys", Sort::List);
+  std::vector<TermRef> Pool = {
+      mkLe(N, A),
+      mkEq(B, mkAdd(A, mkNat(1))), // v = t: substituted away
+      mkLt(C, N),
+      mkEq(Xs, mkLNil()),
+      mkEq(mkLLen(Ys), N),
+      mkEq(mkAdd(C, mkNat(2)), N), // t = v
+      mkLe(A, mkNat(100)),
+      mkAnd(mkLe(mkNat(1), C), mkLe(C, B)),
+      mkImplies(mkLe(N, A), mkLe(C, A)),
+  };
+  std::mt19937 Rng(20210620);
+  PureSolver Warm;
+  Warm.enableSolver("multiset_solver");
+  std::vector<TermRef> Gamma;
+  unsigned Proved = 0, Manual = 0, Bound = 0;
+  const unsigned Goals = 400;
+  for (unsigned I = 0; I < Goals; ++I) {
+    switch (Rng() % 6) {
+    case 0:
+      Gamma.push_back(Pool[Rng() % Pool.size()]);
+      break;
+    case 1:
+      if (!Gamma.empty())
+        Gamma.pop_back();
+      break;
+    default: // reuse the context as it is
+      break;
+    }
+    unsigned Kind = Rng() % 10, PBind = Rng() % 3;
+    bool MentionP = Rng() % 2;
+
+    EvarEnv WEnv, FEnv;
+    MemoCase W = buildMemoCase(Kind, PBind, MentionP, Gamma, WEnv);
+    MemoCase F = buildMemoCase(Kind, PBind, MentionP, Gamma, FEnv);
+    ASSERT_EQ(W.Goal, F.Goal);
+    PureSolver Fresh;
+    Fresh.enableSolver("multiset_solver");
+    SolveResult WR = Warm.prove(W.Hyps, W.Goal, WEnv);
+    SolveResult FR = Fresh.prove(F.Hyps, F.Goal, FEnv);
+    SCOPED_TRACE("goal " + std::to_string(I) + ": " + W.Goal->str());
+    EXPECT_EQ(WR.Proved, FR.Proved);
+    EXPECT_EQ(WR.Manual, FR.Manual);
+    EXPECT_EQ(WR.Engine, FR.Engine);
+    EXPECT_EQ(WEnv.numCreated(), FEnv.numCreated());
+    for (size_t J = 0; J < W.Evars.size(); ++J) {
+      EXPECT_EQ(WEnv.resolve(W.Evars[J]), FEnv.resolve(F.Evars[J]));
+      Bound += J > 0 && FEnv.isBound(F.Evars[J]->num());
+    }
+    Proved += FR.Proved;
+    Manual += FR.Manual;
+  }
+  // The battery exercises every outcome the comparison covers.
+  EXPECT_GT(Proved, Goals / 4);
+  EXPECT_LT(Proved, Goals);
+  EXPECT_GT(Manual, 0u);
+  EXPECT_GT(Bound, 0u);
+}
+
+TEST(PureSolverMemo, AddedSimplifierRuleReachesAWarmSolver) {
+  // The context mentions double(n); only the unfold-double rule relates it
+  // to n + n. A solver that normalized this context before the rule was
+  // added must not keep serving the stale normal form.
+  TermRef N = nvar("n"), A = nvar("a");
+  std::vector<TermRef> Hyps = {
+      mkLe(mkApp("double", Sort::Nat, {N}), A), mkLe(N, mkNat(50))};
+  TermRef Goal = mkLe(mkAdd(N, N), A);
+  PureSolver PS;
+  EvarEnv Env;
+  EXPECT_FALSE(PS.prove(Hyps, Goal, Env).Proved);
+  EXPECT_FALSE(PS.prove(Hyps, Goal, Env).Proved);
+  PS.simplifier().addRule({"unfold-double", true, [](TermRef T) -> TermRef {
+                             if (T->kind() == TermKind::App &&
+                                 T->name() == "double")
+                               return mkAdd(T->arg(0), T->arg(0));
+                             return nullptr;
+                           }});
+  SolveResult R = PS.prove(Hyps, Goal, Env);
+  EXPECT_TRUE(R.Proved) << R.FailureReason;
+  EXPECT_EQ(R.Engine, "default");
 }

@@ -47,12 +47,14 @@ static void *countedAlloc(size_t Sz) noexcept {
   return std::malloc(Sz ? Sz : 1);
 }
 
-void *operator new(size_t Sz) {
+static void *countedAllocOrThrow(size_t Sz) {
   if (void *P = countedAlloc(Sz))
     return P;
   throw std::bad_alloc();
 }
-void *operator new[](size_t Sz) { return ::operator new(Sz); }
+
+void *operator new(size_t Sz) { return countedAllocOrThrow(Sz); }
+void *operator new[](size_t Sz) { return countedAllocOrThrow(Sz); }
 void *operator new(size_t Sz, const std::nothrow_t &) noexcept {
   return countedAlloc(Sz);
 }
@@ -290,8 +292,9 @@ TEST(Trace, PerThreadBuffersMergeStably) {
     if (E.Tid != LastTid)
       LastTid = E.Tid;
     auto It = LastSeq.find(E.Tid);
-    if (It != LastSeq.end())
+    if (It != LastSeq.end()) {
       EXPECT_GT(E.Seq, It->second) << "per-thread order broken";
+    }
     LastSeq[E.Tid] = E.Seq;
   }
   EXPECT_EQ(LastSeq.size(), NThreads);
