@@ -15,7 +15,8 @@
 ///   --cache-dir=DIR      persist results under DIR (warm restarts)
 ///   --cache-max-bytes=N  GC budget for DIR
 ///   --jobs=N             concurrent verification jobs (0 = all cores)
-///   --no-recheck         skip the independent derivation replay
+///   --no-recheck         skip the replay of freshly searched derivations
+///                        (--cache-dir hits are replayed regardless)
 ///   --version            print the version and exit
 ///
 /// Exit code 0 iff the client performed the shutdown/exit handshake in
@@ -41,7 +42,7 @@ int main(int argc, char **argv) {
       .u64Opt("cache-max-bytes", O.CacheMaxBytes, "GC budget for the cache")
       .unsignedOpt("jobs", O.Jobs, "concurrent verification jobs (0 = cores)")
       .flag("no-recheck", O.Recheck, false,
-            "skip the independent derivation replay")
+            "skip the replay of freshly searched derivations")
       .version();
 
   std::vector<std::string> Pos;

@@ -11,8 +11,8 @@
 /// failure. Exit code 0 iff everything verified. Flags:
 ///
 ///   --stats        print per-function rule/side-condition statistics
-///   --no-recheck   skip the independent derivation replay (also downgrades
-///                  persistent-cache hits to content-hash trust)
+///   --no-recheck   skip the replay of freshly searched derivations
+///                  (--cache-dir hits are replayed regardless)
 ///   --jobs=N       run N verification jobs concurrently (0 = all cores)
 ///   --cache-dir=D  persist verification results under D and reuse them on
 ///                  later runs (entries are replayed through the proof
@@ -140,7 +140,7 @@ int main(int argc, char **argv) {
   opts::OptionParser P("verify_tool", "<file.c> [function...]");
   P.flag("stats", Stats, true, "print per-function statistics")
       .flag("no-recheck", Recheck, false,
-            "skip the independent derivation replay")
+            "skip the replay of freshly searched derivations")
       .unsignedOpt("jobs", Jobs, "concurrent verification jobs (0 = cores)")
       .strOpt("cache-dir", CacheDir, "persistent result store directory")
       .flag("no-cache", NoCache, true, "bypass the result store")
@@ -229,10 +229,11 @@ int main(int argc, char **argv) {
   Opts.CacheDir = CacheDir;
   Opts.NoCache = NoCache;
   Opts.Trace = TS.get();
-  Opts.Profile = Profile;
   Opts.Portfolio = Portfolio;
   Opts.DeterministicTrace = DetTrace;
   refinedc::ProgramResult PR = Checker.verifyFunctions(Functions, Opts);
+  // Rendered before --run so the profile covers verification only.
+  std::string ProfileReport = Profile ? trace::renderProfile(*TS) : "";
 
   // Attribute diagnostics to the input file, exactly as the daemon
   // attributes them to the watched document: the entries of the JSON
@@ -310,7 +311,7 @@ int main(int argc, char **argv) {
   // In JSON mode stdout must stay machine-parseable; the human-readable
   // profile goes to stderr instead.
   if (Profile)
-    fprintf(Json ? stderr : stdout, "%s", PR.ProfileReport.c_str());
+    fprintf(Json ? stderr : stdout, "%s", ProfileReport.c_str());
   if (TS && !TraceFile.empty()) {
     std::string Err;
     if (!trace::writeChromeTrace(*TS, TraceFile, &Err)) {

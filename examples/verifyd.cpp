@@ -25,7 +25,8 @@
 ///                      after every revision and at shutdown)
 ///   --jobs=N           concurrent verification jobs per revision (0 = all
 ///                      cores)
-///   --no-recheck       skip the independent derivation replay
+///   --no-recheck       skip the replay of freshly searched derivations
+///                      (--cache-dir hits are replayed regardless)
 ///   --poll-ms=N        watch poll interval (default 200)
 ///   --trace=FILE       write a Chrome trace of the daemon's lifetime on
 ///                      clean shutdown (revision spans, daemon.* counters)
@@ -62,7 +63,7 @@ int main(int argc, char **argv) {
       .u64Opt("cache-max-bytes", O.CacheMaxBytes, "GC budget for the cache")
       .unsignedOpt("jobs", O.Jobs, "concurrent verification jobs (0 = cores)")
       .flag("no-recheck", O.Recheck, false,
-            "skip the independent derivation replay")
+            "skip the replay of freshly searched derivations")
       .unsignedOpt("poll-ms", O.PollMs, "watch poll interval", 1, 60000)
       .strOpt("trace", TraceFile, "write a Chrome trace on clean shutdown")
       .version();

@@ -18,7 +18,9 @@ test -s build/demo_trace.json
 
 # 3. Persistent-cache round trip: a cold run populates the cache directory,
 #    a second process must be served entirely from it (zero re-verified
-#    functions; every hit replayed through the proof checker).
+#    functions; every hit replayed through the proof checker). A third,
+#    --no-recheck process must still replay every hit: the flag skips only
+#    the recheck of the run's own searches, never the check of cache input.
 rm -rf build/check_cache
 ./build/examples/verify_tool --cache-dir=build/check_cache \
     examples/demo.c > /dev/null
@@ -30,6 +32,15 @@ echo "$out" | grep -q '"all_verified": true'
 if echo "$out" | grep -q '"cache_hits": 0'; then
   echo "check.sh: warm cache run reported zero hits"; exit 1
 fi
+out=$(./build/examples/verify_tool --no-recheck --cache-dir=build/check_cache \
+    --format=json examples/demo.c)
+echo "$out" | grep -q '"cache_misses": 0'
+echo "$out" | grep -q '"replay_failures": 0'
+hits=$(echo "$out" | sed -n 's/.*"cache_hits": \([0-9]*\).*/\1/p')
+replayed=$(echo "$out" | sed -n 's/.*"replayed_hits": \([0-9]*\).*/\1/p')
+[ -n "$hits" ] && [ "$hits" = "$replayed" ] || {
+  echo "check.sh: --no-recheck served $hits hits but replayed $replayed"
+  exit 1; }
 
 # 4. Figure-7 gates. The regenerated BENCH_figure7.json must be
 #    byte-identical to the committed one: it carries no timings, so any
@@ -173,18 +184,24 @@ if [ -z "$CHECK_SKIP_SANITIZERS" ]; then
   #     (per-job solver copies, shared session state, result-store tiers)
   #     and the ThreadPool it runs on, plus the pure solvers those jobs run
   #     concurrently, each with its own normalization memo
-  #     (Portfolio.CopiedSolverProvesIndependently proves on four threads).
+  #     (Portfolio.CopiedSolverProvesIndependently proves on four threads),
+  #     the store probes and replays jobs run against shared tiers, and
+  #     capture-avoiding substitution from several threads
+  #     (Term.CapturingSubstitutionsAgreeAcrossThreads).
   #     TSan also reports any pool thread still running at exit.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
   cmake --build build-tsan -j"$(nproc)" --target test_parallel test_support \
-      test_bitvector test_linear_overflow test_pure_solver test_portfolio
+      test_bitvector test_linear_overflow test_pure_solver test_portfolio \
+      test_store test_pure_term
   ./build-tsan/tests/test_parallel
   ./build-tsan/tests/test_support
   ./build-tsan/tests/test_bitvector
   ./build-tsan/tests/test_linear_overflow
   ./build-tsan/tests/test_pure_solver
   ./build-tsan/tests/test_portfolio
+  ./build-tsan/tests/test_store
+  ./build-tsan/tests/test_pure_term
 fi
 
 echo "check.sh: all green"

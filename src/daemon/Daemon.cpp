@@ -203,10 +203,7 @@ bool Daemon::verifyRevision(Document &D, const std::string &Source,
   // live until the new one is fully built, so a spec error keeps serving
   // `status` from the previous good revision.
   auto NewChk = std::make_unique<refinedc::Checker>(*NewAP, Diags);
-  std::vector<std::shared_ptr<store::ResultStore>> Persistent;
-  if (L2)
-    Persistent.push_back(L2);
-  NewChk->adoptTierStack(L1, std::move(Persistent));
+  NewChk->adoptTierStack(L1, L2);
   if (!NewChk->buildEnv()) {
     D.LastGood = false;
     SourceLoc Loc;

@@ -64,8 +64,9 @@ struct DaemonOptions {
   uint64_t CacheMaxBytes = 0;
   /// Concurrent verification jobs per revision (0 = all cores).
   unsigned Jobs = 1;
-  /// Replay derivations through the independent ProofChecker (both fresh
-  /// results and L2 hits); off = content-hash trust.
+  /// Replay freshly searched derivations through the independent
+  /// ProofChecker. L2 hits are replayed before they are trusted either
+  /// way.
   bool Recheck = true;
   /// Watch poll interval in milliseconds.
   unsigned PollMs = 200;

@@ -28,6 +28,8 @@ bool EvarEnv::bind(int64_t Id, TermRef T) {
 }
 
 TermRef EvarEnv::resolve(TermRef T) const {
+  if (Bindings.empty())
+    return T; // nothing to substitute (every ProofChecker side condition)
   if (T->kind() == TermKind::EVar) {
     auto It = Bindings.find(T->num());
     if (It == Bindings.end())

@@ -522,8 +522,6 @@ template <typename LeafFn> TermRef rebuild(TermRef T, LeafFn &&OnLeaf) {
   return arena().make(T->kind(), T->sort(), T->name(), T->num(),
                       std::move(NewArgs));
 }
-
-unsigned FreshCounter = 0;
 } // namespace
 
 TermRef rcc::pure::substVar(TermRef T, const std::string &Name, TermRef Repl) {
@@ -535,8 +533,16 @@ TermRef rcc::pure::substVar(TermRef T, const std::string &Name, TermRef Repl) {
     if (T->name() == Name)
       return T; // shadowed
     if (containsFreeVar(Repl, T->name())) {
-      // Rename the binder to avoid capture.
-      std::string Fresh = T->name() + "!" + std::to_string(++FreshCounter);
+      // Rename the binder to avoid capture: the smallest `name!k` free in
+      // neither the body nor Repl (and distinct from Name), so the choice
+      // depends on the terms alone, never on other threads' substitutions.
+      std::string Fresh;
+      for (unsigned K = 1;; ++K) {
+        Fresh = T->name() + "!" + std::to_string(K);
+        if (Fresh != Name && !containsFreeVar(T->arg(0), Fresh) &&
+            !containsFreeVar(Repl, Fresh))
+          break;
+      }
       TermRef FreshVar = mkVar(Fresh, T->binderSort());
       TermRef Body = substVar(T->arg(0), T->name(), FreshVar);
       Body = substVar(Body, Name, Repl);

@@ -11,10 +11,9 @@
 #include "refinedc/ProofChecker.h"
 #include "support/ThreadPool.h"
 #include "support/Util.h"
-#include "trace/Export.h"
+#include "trace/Trace.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -42,10 +41,6 @@ Checker::Checker(const front::AnnotatedProgram &AP,
     else if (std::strcmp(D, "crosscheck") == 0)
       Rules.setMode(lithium::RuleRegistry::DispatchMode::CrossCheck);
   }
-  // The trusted in-memory tier is part of every session; configureStore
-  // attaches the persistent tiers per run.
-  L1 = std::make_shared<store::MemoryResultStore>();
-  Store.addTier(L1, /*Trusted=*/true);
 }
 
 Checker::~Checker() {
@@ -627,10 +622,6 @@ FnResult Checker::verifyFunction(const std::string &Name,
     Res.Rechecked = true;
     Res.RecheckOk = PC.check(Res.Deriv, Lemmas).Ok;
   }
-  if (!Opts.CollectDerivation) {
-    Res.Deriv.Steps.clear();
-    Res.Deriv.Steps.shrink_to_fit();
-  }
   return Res;
 }
 
@@ -652,12 +643,12 @@ uint64_t Checker::fnContentHash(const std::string &Name,
   H.mix(Rules.fingerprint());
   for (const auto &R : SolverProto.simplifier().rules())
     H.mix(R.Name);
-  // Only options that change the *verdict* participate: Recheck and
-  // CollectDerivation alter trust metadata and payload, both of which
-  // probeStore re-establishes per hit (replay for untrusted tiers, the
-  // strictness guards for L1), so keying on them would partition the store
-  // by driver — `verifyd --no-recheck` and a rechecking verify_tool may
-  // share one --cache-dir, and each must find the other's entries.
+  // Only options that change the *verdict* participate: Recheck alters
+  // trust metadata only, which probeStore re-establishes per hit (replay
+  // for persistent hits, the strictness guard for L1), so keying on it
+  // would partition the store by driver — `verifyd --no-recheck` and a
+  // rechecking verify_tool may share one --cache-dir, and each must find
+  // the other's entries.
   H.mix(static_cast<uint64_t>(Opts.Backtracking))
       .mix(static_cast<uint64_t>(Opts.MaxSteps))
       // Off lacks the bit-vector backend and must not reuse portfolio-era
@@ -677,14 +668,11 @@ void Checker::invalidateCache() {
 
 void Checker::adoptTierStack(
     std::shared_ptr<store::MemoryResultStore> SharedL1,
-    std::vector<std::shared_ptr<store::ResultStore>> Untrusted) {
+    std::shared_ptr<store::ResultStore> PersistentTier) {
   L1 = SharedL1 ? std::move(SharedL1)
                 : std::make_shared<store::MemoryResultStore>();
+  Persistent = std::move(PersistentTier);
   OwnedCacheDir.reset();
-  Store.resetTiers();
-  Store.addTier(L1, /*Trusted=*/true);
-  for (auto &T : Untrusted)
-    Store.addTier(std::move(T), /*Trusted=*/false);
 }
 
 void Checker::configureStore(const VerifyOptions &Opts) {
@@ -694,39 +682,30 @@ void Checker::configureStore(const VerifyOptions &Opts) {
   if (*OwnedCacheDir == Dir)
     return; // same composition as the previous run: keep the tiers (and
             // their lifetime counters)
+  adoptTierStack(L1, Dir.empty()
+                         ? nullptr
+                         : std::make_shared<store::DiskResultStore>(Dir));
   OwnedCacheDir = Dir;
-  Store.resetTiers();
-  Store.addTier(L1, /*Trusted=*/true);
-  if (!Dir.empty())
-    Store.addTier(std::make_shared<store::DiskResultStore>(Dir),
-                  /*Trusted=*/false);
 }
 
 bool Checker::probeStore(const std::string &Name, uint64_t Key,
                          const VerifyOptions &Opts, FnResult &Out,
-                         size_t &HitTier, RunStoreStats &RS) {
+                         StoreHit &Hit, RunStoreStats &RS) {
   FnResult R;
-  size_t T = 0;
-  if (!Store.get(Name, Key, R, T))
-    return false;
-
-  if (Store.trusted(T)) {
+  if (L1->get(Name, Key, R)) {
     // The in-memory tier this process populated. The key does not encode
-    // Recheck/CollectDerivation (they do not change verdicts), so an entry
-    // computed under laxer options can surface here; honor the stricter
-    // run by recomputing instead of serving a certificate weaker than the
-    // caller asked for.
-    if (R.Verified && !R.Trusted &&
-        ((Opts.Recheck && !R.Rechecked) ||
-         (Opts.CollectDerivation && R.Deriv.Steps.empty())))
+    // Recheck (it does not change verdicts), so an entry computed without
+    // it can surface here; honor the stricter run by recomputing instead
+    // of serving a certificate weaker than the caller asked for.
+    if (R.Verified && !R.Trusted && Opts.Recheck && !R.Rechecked)
       return false;
-  } else {
-    // The entry came from an untrusted (persistent) tier. Its envelope
-    // only filtered corruption and staleness; trust is established by
-    // replaying the recorded derivation through the independent
-    // ProofChecker — the paper's search-untrusted / checker-trusted split,
-    // extended across process boundaries.
-    // --no-recheck downgrades this to content-hash trust. Failed and
+    Hit = StoreHit::L1;
+  } else if (Persistent && Persistent->get(Name, Key, R)) {
+    // The entry came from outside this process. Its envelope only filtered
+    // corruption and staleness; trust is established by replaying the
+    // recorded derivation through the independent ProofChecker — the
+    // paper's search-untrusted / checker-trusted split, extended across
+    // process boundaries — whatever Opts.Recheck says. Failed and
     // rc::trust_me results carry no proof to replay and are surfaced as
     // stored. Whether a result is rc::trust_me comes from the current
     // source, never from the entry: an entry whose Trusted bit disagrees
@@ -734,15 +713,15 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
     auto SIt = Env.FnSpecs.find(Name);
     const bool TrustMe = SIt != Env.FnSpecs.end() && SIt->second->TrustMe;
     if (R.Trusted != TrustMe) {
-      Store.drop(Name, Key);
+      Persistent->drop(Name, Key);
       return false;
     }
-    if (Opts.Recheck && R.Verified && !R.Trusted) {
+    if (R.Verified && !R.Trusted) {
       if (R.Deriv.Steps.empty())
         return false; // stored without a derivation: cannot re-certify
       trace::Span ReplaySpan(trace::Category::Cache,
-                             std::string("store.") +
-                                 Store.tier(T).tierName() + ".replay");
+                             std::string("store.") + Persistent->tierName() +
+                                 ".replay");
       auto T0 = std::chrono::steady_clock::now();
       std::vector<pure::Lemma> Lemmas;
       if (SIt != Env.FnSpecs.end())
@@ -751,32 +730,32 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
       ProofChecker PC(Rules);
       bool Ok = PC.check(R.Deriv, Lemmas).Ok;
       auto T1 = std::chrono::steady_clock::now();
-      TierReplayStats &TierStats = RS[T];
-      TierStats.ReplayUs.fetch_add(
+      RS.ReplayUs.fetch_add(
           static_cast<uint64_t>(
               std::chrono::duration_cast<std::chrono::microseconds>(T1 - T0)
                   .count()),
           std::memory_order_relaxed);
-      TierStats.Replays.fetch_add(1, std::memory_order_relaxed);
+      RS.Replays.fetch_add(1, std::memory_order_relaxed);
       if (!Ok) {
-        // A well-formed entry whose proof does not replay. Drop it from
-        // every tier and fall back to a fresh verification.
-        TierStats.ReplayFailures.fetch_add(1, std::memory_order_relaxed);
-        Store.drop(Name, Key);
+        // A well-formed entry whose proof does not replay (L1 missed, so
+        // only the persistent tier holds it). Drop it and fall back to a
+        // fresh verification.
+        RS.ReplayFailures.fetch_add(1, std::memory_order_relaxed);
+        Persistent->drop(Name, Key);
         return false;
       }
       R.Rechecked = true;
       R.RecheckOk = true;
     }
-    // Validated (or hash-trusted under --no-recheck): promote into every
-    // tier probed earlier — a disk hit warms the trusted in-memory L1, so
-    // repeated runs hit the cheapest tier.
-    Store.promote(Name, Key, R, T);
+    // Validated: promote into L1, so repeated runs hit the cheapest tier.
+    L1->put(Name, Key, R);
+    Hit = StoreHit::Persistent;
+  } else {
+    return false;
   }
 
   R.CacheHit = true;
   R.WallMillis = 0.0; // no check ran for this result
-  HitTier = T;
   Out = std::move(R);
   return true;
 }
@@ -787,102 +766,68 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   PR.JobsUsed = ThreadPool::resolveJobs(Opts.Jobs);
   auto Start = std::chrono::steady_clock::now();
 
-  // Resolve the trace session: an explicit Opts.Trace wins, then the
-  // thread's ambient session; otherwise, if an export was requested, an
-  // internal session is created for just this run. The pool propagates the
-  // installed session to its workers.
+  // Record into Opts.Trace, else into the thread's ambient session (if
+  // any). The pool propagates the installed session to its workers.
   trace::TraceSession *TS = Opts.Trace ? Opts.Trace : trace::current();
-  std::unique_ptr<trace::TraceSession> OwnedTS;
-  if (!TS && (!Opts.TraceFile.empty() || Opts.Profile)) {
-    OwnedTS = std::make_unique<trace::TraceSession>(Opts.DeterministicTrace,
-                                                    Opts.TraceEventCap);
-    TS = OwnedTS.get();
-  }
   trace::SessionScope TraceScope(TS);
-  // Closed explicitly before the exports below so the emitted trace has
-  // balanced begin/end events.
+  // Closed explicitly before the metrics snapshot below so the recorded
+  // trace has balanced begin/end events.
   std::optional<trace::Span> RunSpan;
   RunSpan.emplace(trace::Category::Checker, "checker.run");
 
-  // Compose this run's store tiers (L1 always; L2 when CacheDir is set, or
-  // whatever stack was adopted).
+  // Compose this run's store tiers (L1 always; a disk L2 when CacheDir is
+  // set, or whatever tiers were adopted).
   configureStore(Opts);
   const bool UseStore = !Opts.NoCache;
-  // Any untrusted tier in the stack (disk L2 or adopted)?
-  bool HaveUntrusted = false;
-  for (size_t T = 0; T < Store.numTiers(); ++T)
-    HaveUntrusted |= UseStore && !Store.trusted(T);
-
-  // Persistent entries are only replayable if they carry their derivation,
-  // so a disk-backed run under Recheck always collects derivations for the
-  // stored copies; surfaced results still honor Opts.CollectDerivation
-  // (stripped after publication, below).
-  VerifyOptions EffOpts = Opts;
-  if (HaveUntrusted && Opts.Recheck)
-    EffOpts.CollectDerivation = true;
+  store::ResultStore *PTier = UseStore ? Persistent.get() : nullptr;
 
   // Content hashes are computed up front, serially: this forces the lazy
   // environment fingerprint before any job runs and keeps the hashing
   // out of the parallel section's hot path.
   std::vector<uint64_t> Hashes(Names.size());
   for (size_t I = 0; I < Names.size(); ++I)
-    Hashes[I] = fnContentHash(Names[I], EffOpts);
+    Hashes[I] = fnContentHash(Names[I], Opts);
 
   PR.Fns.resize(Names.size());
-  constexpr size_t kMiss = ~static_cast<size_t>(0);
-  std::vector<size_t> HitTier(Names.size(), kMiss);
-  RunStoreStats RS(Store.numTiers());
-  // Per-tier corrupt-drop baselines, so the run's delta can be attributed
-  // to the tier that rejected the entry.
-  std::vector<uint64_t> CorruptBase(Store.numTiers(), 0);
-  for (size_t T = 0; T < Store.numTiers(); ++T)
-    CorruptBase[T] =
-        Store.tier(T).counters().CorruptDrops.load(std::memory_order_relaxed);
+  std::vector<StoreHit> Hits(Names.size(), StoreHit::Miss);
+  RunStoreStats RS;
+  // Corrupt-drop baseline of the persistent tier, so the run's delta can
+  // be reported.
+  const uint64_t CorruptBase =
+      PTier ? PTier->counters().CorruptDrops.load(std::memory_order_relaxed)
+            : 0;
 
   // Each job consults the store at job start (probe + replay) and
-  // publishes at job end, through the same interface regardless of tier.
+  // publishes to both tiers at job end.
   ThreadPool Pool(PR.JobsUsed);
   Pool.parallelFor(Names.size(), [&](size_t I) {
-    if (!UseStore ||
-        !probeStore(Names[I], Hashes[I], EffOpts, PR.Fns[I], HitTier[I],
-                    RS)) {
-      PR.Fns[I] = verifyFunction(Names[I], EffOpts);
-      if (UseStore)
-        Store.put(Names[I], Hashes[I], PR.Fns[I]);
-    }
-    if (!Opts.CollectDerivation && !PR.Fns[I].Deriv.Steps.empty()) {
-      PR.Fns[I].Deriv.Steps.clear();
-      PR.Fns[I].Deriv.Steps.shrink_to_fit();
+    if (UseStore && probeStore(Names[I], Hashes[I], Opts, PR.Fns[I], Hits[I],
+                               RS))
+      return;
+    PR.Fns[I] = verifyFunction(Names[I], Opts);
+    if (UseStore) {
+      L1->put(Names[I], Hashes[I], PR.Fns[I]);
+      if (PTier)
+        PTier->put(Names[I], Hashes[I], PR.Fns[I]);
     }
   });
 
-  for (size_t I = 0; I < Names.size(); ++I) {
-    if (HitTier[I] == kMiss) {
+  for (StoreHit H : Hits) {
+    if (H == StoreHit::Miss)
       ++PR.CacheMisses;
-      continue;
-    }
-    ++PR.CacheHits;
-    // Tier 0 is always the in-memory L1; every tier below it counts as L2.
-    if (HitTier[I] == 0)
+    else if (H == StoreHit::L1)
       ++PR.L1Hits;
     else
       ++PR.L2Hits;
   }
-  uint64_t ReplaysTotal = 0, ReplayFailuresTotal = 0, ReplayUsTotal = 0;
-  for (const TierReplayStats &S : RS) {
-    ReplaysTotal += S.Replays.load();
-    ReplayFailuresTotal += S.ReplayFailures.load();
-    ReplayUsTotal += S.ReplayUs.load();
-  }
-  PR.ReplayedHits = static_cast<unsigned>(ReplaysTotal);
-  PR.ReplayFailures = static_cast<unsigned>(ReplayFailuresTotal);
-  PR.ReplayMillis = static_cast<double>(ReplayUsTotal) / 1000.0;
-  for (size_t T = 1; T < Store.numTiers(); ++T)
-    if (!Store.trusted(T))
-      PR.CorruptDrops += static_cast<unsigned>(
-          Store.tier(T).counters().CorruptDrops.load(
-              std::memory_order_relaxed) -
-          CorruptBase[T]);
+  PR.CacheHits = PR.L1Hits + PR.L2Hits;
+  PR.ReplayedHits = static_cast<unsigned>(RS.Replays.load());
+  PR.ReplayFailures = static_cast<unsigned>(RS.ReplayFailures.load());
+  PR.ReplayMillis = static_cast<double>(RS.ReplayUs.load()) / 1000.0;
+  if (PTier)
+    PR.CorruptDrops = static_cast<unsigned>(
+        PTier->counters().CorruptDrops.load(std::memory_order_relaxed) -
+        CorruptBase);
 
   if (TS) {
     // Fold the per-function EngineStats into the session registry —
@@ -891,7 +836,7 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
     // these (they only bump counters EngineStats does not cover).
     trace::MetricsRegistry &MR = TS->metrics();
     for (size_t I = 0; I < PR.Fns.size(); ++I) {
-      if (HitTier[I] != kMiss)
+      if (Hits[I] != StoreHit::Miss)
         continue; // store hits did no engine work this run
       const EngineStats &ES = PR.Fns[I].Stats;
       MR.counter("engine.rule_apps").add(ES.RuleApps);
@@ -907,27 +852,18 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
     MR.counter("cache.hits").add(PR.CacheHits);
     MR.counter("cache.misses").add(PR.CacheMisses);
     if (UseStore) {
-      // Per-tier store accounting, mirrored from the joined results (and,
-      // for corrupt drops, from the tier's own lifetime counters) so the
-      // exported values are schedule-independent. Every tier exports under
-      // its own label: store.l1.*, store.l2.*.
+      // Store accounting, mirrored from the joined results (and, for
+      // corrupt drops, from the tier's own lifetime counter) so the
+      // exported values are schedule-independent. The persistent tier
+      // exports under its own label (store.l2.*) only when attached.
       MR.counter("store.l1.hits").add(PR.L1Hits);
-      std::vector<unsigned> TierHitCount(Store.numTiers(), 0);
-      for (size_t I = 0; I < Names.size(); ++I)
-        if (HitTier[I] != kMiss && HitTier[I] < Store.numTiers())
-          ++TierHitCount[HitTier[I]];
-      for (size_t T = 1; T < Store.numTiers(); ++T) {
-        const std::string Prefix = std::string("store.") +
-                                   Store.tier(T).tierName();
-        MR.counter(Prefix + ".hits").add(TierHitCount[T]);
-        MR.counter(Prefix + ".replays").add(RS[T].Replays.load());
-        MR.counter(Prefix + ".replay_failures")
-            .add(RS[T].ReplayFailures.load());
-        MR.counter(Prefix + ".replay_us").add(RS[T].ReplayUs.load());
-        MR.counter(Prefix + ".corrupt_drops")
-            .add(Store.tier(T).counters().CorruptDrops.load(
-                     std::memory_order_relaxed) -
-                 CorruptBase[T]);
+      if (PTier) {
+        const std::string Prefix = std::string("store.") + PTier->tierName();
+        MR.counter(Prefix + ".hits").add(PR.L2Hits);
+        MR.counter(Prefix + ".replays").add(PR.ReplayedHits);
+        MR.counter(Prefix + ".replay_failures").add(PR.ReplayFailures);
+        MR.counter(Prefix + ".replay_us").add(RS.ReplayUs.load());
+        MR.counter(Prefix + ".corrupt_drops").add(PR.CorruptDrops);
       }
     }
     MR.counter("checker.functions").add(Names.size());
@@ -949,16 +885,8 @@ ProgramResult Checker::verifyFunctions(const std::vector<std::string> &Names,
   }
 
   RunSpan.reset();
-  if (TS) {
+  if (TS)
     PR.Metrics = TS->metrics().toJson(TS->deterministic());
-    if (Opts.Profile)
-      PR.ProfileReport = trace::renderProfile(*TS);
-    if (!Opts.TraceFile.empty()) {
-      std::string Err;
-      if (!trace::writeChromeTrace(*TS, Opts.TraceFile, &Err))
-        fprintf(stderr, "warning: %s\n", Err.c_str());
-    }
-  }
   return PR;
 }
 

@@ -74,14 +74,14 @@ struct VerifyCtx : lithium::VerifyCtxBase {
 /// from the session's template so user-registered simplification rules
 /// carry over), EvarEnv, Engine, and DiagnosticEngine, so jobs never share
 /// mutable state and per-function results are byte-identical regardless of
-/// Jobs. Session-level results are memoized in a tiered result store (see
+/// Jobs. Session-level results are memoized in two store tiers (see
 /// src/store and DESIGN.md, "Persistent verification store"): an always-on
-/// in-memory tier keyed by a content hash of the function body, its
+/// in-memory L1 keyed by a content hash of the function body, its
 /// annotations, its callees' specs, and the spec-environment fingerprint —
 /// so re-running verifyAll after nothing changed is O(1) per function —
-/// plus an optional on-disk tier (VerifyOptions::CacheDir) whose entries
-/// survive the process and are replayed through the independent
-/// ProofChecker before being trusted.
+/// plus an optional persistent tier (the disk L2 of
+/// VerifyOptions::CacheDir) whose entries survive the process and are
+/// replayed through the independent ProofChecker before being trusted.
 class Checker {
 public:
   Checker(const front::AnnotatedProgram &AP, rcc::DiagnosticEngine &Diags);
@@ -95,23 +95,21 @@ public:
   /// Builds the type environment from annotations. False on spec errors.
   bool buildEnv();
 
-  /// Adopts an externally-owned tier stack in place of the session-owned
-  /// one: the trusted in-memory L1 (nullptr keeps a fresh private one)
-  /// plus any number of *untrusted* tiers in probe order. This is how the
+  /// Adopts externally-owned tiers in place of the session-owned ones:
+  /// the trusted in-memory L1 (nullptr keeps a fresh private one) and an
+  /// optional *untrusted* persistent tier probed after it. This is how the
   /// verification daemon (src/daemon) keeps results warm across
   /// *revisions*: each revision compiles a fresh Checker session, but all
   /// sessions share one L1 (and optionally one disk L2), and the
   /// content-hash keys — which fold in the function body, callee specs,
   /// and the spec-environment fingerprint — guarantee a stale entry can
-  /// only miss. Every hit in an untrusted tier is replayed through the
-  /// ProofChecker before being trusted (or hash-trusted under
-  /// --no-recheck), and validated results are promoted into every tier
-  /// probed earlier. Once adopted, VerifyOptions::CacheDir is ignored (the
-  /// tiers are fixed); VerifyOptions::NoCache still bypasses probes per
-  /// run.
-  void
-  adoptTierStack(std::shared_ptr<store::MemoryResultStore> SharedL1,
-                 std::vector<std::shared_ptr<store::ResultStore>> Untrusted);
+  /// only miss. Every verified persistent hit is replayed through the
+  /// ProofChecker before it is surfaced or promoted into L1, whatever
+  /// VerifyOptions::Recheck says. Once adopted, VerifyOptions::CacheDir is
+  /// ignored (the tiers are fixed); VerifyOptions::NoCache still bypasses
+  /// probes per run.
+  void adoptTierStack(std::shared_ptr<store::MemoryResultStore> SharedL1,
+                      std::shared_ptr<store::ResultStore> Persistent);
 
   /// Verifies one function against its annotations. Thread-safe: shares
   /// only immutable session state, and bypasses the result store.
@@ -170,28 +168,30 @@ private:
                          const VerifyOptions &Opts) const;
   void invalidateCache();
 
-  /// (Re)builds a session-owned stack for this run: the session L1 always,
-  /// plus a disk L2 when Opts.CacheDir is set (reused across runs on the
-  /// same directory). An adopted stack is left alone.
+  /// Points the session-owned persistent tier at Opts.CacheDir for this
+  /// run (a disk L2 reused across runs on the same directory, none when
+  /// the directory is empty), through adoptTierStack. Adopted tiers are
+  /// left alone.
   void configureStore(const VerifyOptions &Opts);
 
-  /// One tier's replay accounting for a run, aggregated across jobs.
-  struct TierReplayStats {
+  /// Which tier served a function in a run.
+  enum class StoreHit : uint8_t { Miss, L1, Persistent };
+
+  /// The persistent tier's replay accounting for a run, aggregated across
+  /// jobs (L1 hits never replay).
+  struct RunStoreStats {
     std::atomic<uint64_t> ReplayUs{0};
     std::atomic<uint64_t> Replays{0};
     std::atomic<uint64_t> ReplayFailures{0};
   };
-  /// Indexed by tier position in the stack (tier 0 — trusted L1 — never
-  /// replays).
-  using RunStoreStats = std::vector<TierReplayStats>;
 
-  /// Job-start store probe: on a hit in an untrusted (disk) tier the entry
-  /// is replayed through the ProofChecker before being surfaced (or hash-
-  /// trusted when Opts.Recheck is off) and promoted into L1. Returns false
-  /// — a miss — when there is no usable entry; \p HitTier reports the tier
-  /// on success.
+  /// Job-start store probe. An L1 hit is surfaced as stored unless it
+  /// carries a weaker certificate than Opts asks for; a verified
+  /// persistent hit is replayed through the ProofChecker before it is
+  /// surfaced and promoted into L1. Returns false — a miss — when there is
+  /// no usable entry; \p Hit reports the serving tier on success.
   bool probeStore(const std::string &Name, uint64_t Key,
-                  const VerifyOptions &Opts, FnResult &Out, size_t &HitTier,
+                  const VerifyOptions &Opts, FnResult &Out, StoreHit &Hit,
                   RunStoreStats &RS);
 
   const front::AnnotatedProgram &AP;
@@ -210,16 +210,17 @@ private:
   mutable uint64_t EnvFingerprint = 0;
   mutable bool EnvFingerprintValid = false;
 
-  /// The session result store, composed as a uniform tier stack. L1
-  /// (in-memory, trusted) is always tier 0; a disk L2 — untrusted until
-  /// replayed — is attached by configureStore when a run sets
-  /// VerifyOptions::CacheDir, or the whole stack is adopted by
-  /// adoptTierStack. Jobs only touch the store at job start/end; all tiers
-  /// are thread-safe.
-  std::shared_ptr<store::MemoryResultStore> L1;
-  store::TieredResultStore Store;
-  /// The CacheDir the session-owned stack was built for ("" = L1 only);
-  /// nullopt once adoptTierStack handed the composition to the caller.
+  /// The session result store: the trusted in-memory L1, probed first, and
+  /// an optional persistent tier (null: none), untrusted until replayed.
+  /// configureStore attaches a disk L2 when a run sets
+  /// VerifyOptions::CacheDir, or a caller adopts both tiers through
+  /// adoptTierStack. Jobs only touch the store at job start/end; both
+  /// tiers are thread-safe.
+  std::shared_ptr<store::MemoryResultStore> L1 =
+      std::make_shared<store::MemoryResultStore>();
+  std::shared_ptr<store::ResultStore> Persistent;
+  /// The CacheDir the session-owned persistent tier was built for ("" =
+  /// none); nullopt once adoptTierStack handed the tiers to the caller.
   std::optional<std::string> OwnedCacheDir = std::string();
 };
 

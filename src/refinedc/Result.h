@@ -33,11 +33,11 @@ namespace rcc::refinedc {
 /// Per-session verification options (the public knobs of the driver API;
 /// everything else about a Checker is fixed once buildEnv() ran).
 struct VerifyOptions {
-  /// Replay every successful derivation through the independent
-  /// ProofChecker and record the outcome in FnResult::RecheckOk. Also
-  /// governs trust in the persistent store: a result loaded from disk is
-  /// replayed before it is surfaced; without Recheck the content hash
-  /// alone is trusted (see DESIGN.md, "Persistent verification store").
+  /// Replay every successful derivation this process searches through the
+  /// independent ProofChecker and record the outcome in
+  /// FnResult::RecheckOk. Results loaded from a persistent store tier are
+  /// replayed before they are surfaced whatever this says (DESIGN.md,
+  /// "Persistent verification store").
   bool Recheck = false;
   /// Ablation: run the engines in naive-backtracking mode (see Engine).
   bool Backtracking = false;
@@ -53,12 +53,6 @@ struct VerifyOptions {
   /// `On` (default) adds the bit-vector backend; `Off` restores the
   /// pre-portfolio dispatch and is hashed separately.
   pure::PortfolioMode Portfolio = pure::PortfolioMode::On;
-  /// Keep the recorded Derivation in each FnResult. Turning this off saves
-  /// memory on large programs; rechecking still works (the derivation is
-  /// collected, replayed, and then dropped). Note that results stored
-  /// without a derivation cannot be replayed when loaded back from the
-  /// persistent store, so under Recheck they are conservative misses.
-  bool CollectDerivation = true;
 
   // --- Result store (src/store; DESIGN.md "Persistent verification
   // store") ---
@@ -72,24 +66,14 @@ struct VerifyOptions {
   bool NoCache = false;
 
   // --- Observability (src/trace; DESIGN.md "Observability") ---
-  /// Trace session to record into. When null but TraceFile/Profile is set,
-  /// verifyFunctions creates an internal session for the run. Callers that
-  /// want frontend spans too create the session themselves (verify_tool
-  /// does) and handle the export.
+  /// Trace session to record into (null: the thread's ambient session, if
+  /// any). The caller owns the session and its exports (Chrome trace,
+  /// profile report; verify_tool renders both).
   trace::TraceSession *Trace = nullptr;
-  /// Write the Chrome trace-event JSON here after the run (internal-session
-  /// mode; ignored when empty).
-  std::string TraceFile;
-  /// Fill ProgramResult::ProfileReport with the human-readable profile.
-  bool Profile = false;
-  /// Internal-session mode: create the session deterministic, so exported
-  /// counters and the profile are byte-identical across Jobs (durations
-  /// zeroed, rules ranked by application count).
+  /// Zero the schedule-dependent wall times in the ProgramResult, so
+  /// `--format=json --deterministic-trace` output is byte-identical across
+  /// Jobs (pair it with a deterministic TraceSession).
   bool DeterministicTrace = false;
-  /// Internal-session mode: cap each thread's trace buffer at this many
-  /// events, truncating ring-buffer style (0 = unbounded; see
-  /// TraceSession).
-  size_t TraceEventCap = 0;
 };
 
 /// Result of verifying one function.
@@ -134,7 +118,7 @@ struct ProgramResult {
   // --- Per-tier store accounting (DESIGN.md, "Persistent verification
   // store"); CacheHits == L1Hits + L2Hits.
   unsigned L1Hits = 0;         ///< in-memory (session) tier hits
-  unsigned L2Hits = 0;         ///< hits in any tier below L1 (disk)
+  unsigned L2Hits = 0;         ///< persistent-tier (disk) hits
   unsigned ReplayedHits = 0;   ///< untrusted-tier hits replayed through the
                                ///< ProofChecker
   unsigned ReplayFailures = 0; ///< untrusted entries rejected by the replay
@@ -145,8 +129,6 @@ struct ProgramResult {
   /// traced). Sourced from the MetricsRegistry; the bench artifacts
   /// (BENCH_*.json) embed it verbatim.
   std::string Metrics;
-  /// Human-readable profile (VerifyOptions::Profile; empty otherwise).
-  std::string ProfileReport;
 
   bool allVerified() const {
     for (const FnResult &R : Fns)

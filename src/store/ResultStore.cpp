@@ -275,43 +275,3 @@ GcStats DiskResultStore::gc(uint64_t MaxBytes) {
   Counters.Evictions.fetch_add(S.Evicted, std::memory_order_relaxed);
   return S;
 }
-
-//===----------------------------------------------------------------------===//
-// TieredResultStore
-//===----------------------------------------------------------------------===//
-
-bool TieredResultStore::get(const std::string &Name, uint64_t Key,
-                            FnResult &Out, size_t &HitTier) {
-  for (size_t I = 0; I < Tiers.size(); ++I) {
-    if (Tiers[I]->get(Name, Key, Out)) {
-      HitTier = I;
-      Counters.Hits.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  Counters.Misses.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void TieredResultStore::put(const std::string &Name, uint64_t Key,
-                            const FnResult &R) {
-  Counters.Puts.fetch_add(1, std::memory_order_relaxed);
-  for (auto &T : Tiers)
-    T->put(Name, Key, R);
-}
-
-void TieredResultStore::promote(const std::string &Name, uint64_t Key,
-                                const FnResult &R, size_t FromTier) {
-  for (size_t I = 0; I < FromTier && I < Tiers.size(); ++I)
-    Tiers[I]->put(Name, Key, R);
-}
-
-void TieredResultStore::drop(const std::string &Name, uint64_t Key) {
-  for (auto &T : Tiers)
-    T->drop(Name, Key);
-}
-
-void TieredResultStore::clear() {
-  for (auto &T : Tiers)
-    T->clear();
-}

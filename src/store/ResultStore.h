@@ -1,11 +1,11 @@
-//===- ResultStore.h - Tiered persistent verification-result store -*- C++ -*-===//
+//===- ResultStore.h - Persistent verification-result store ---*- C++ -*-===//
 //
 // Part of RefinedC++, a C++ reproduction of the RefinedC verifier (PLDI'21).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tiered result store behind the verification driver's memoization
+/// The result store behind the verification driver's memoization
 /// (DESIGN.md, "Persistent verification store"). A store maps
 /// (function name, content-hash key) to a previously computed FnResult;
 /// the key already folds in the function body, its annotation closure, the
@@ -25,12 +25,11 @@
 ///    before believing it — the paper's search-untrusted / checker-trusted
 ///    split, extended across process boundaries. The replay is only as
 ///    strong as ProofChecker::check (DESIGN.md, §Substitutions).
-///  - `TieredResultStore`: composes any number of tiers in probe order as a
-///    uniform stack (L1, L2, ...), each carrying its *trust* attribute:
-///    trusted tiers were produced in-process, untrusted tiers are replayed
-///    through the ProofChecker by the caller before being believed. It
-///    deliberately does NOT auto-promote on a hit: promotion upward is the
-///    *caller's* call, made only after validation (`promote`).
+///  - The checker composes exactly two tiers (Checker::adoptTierStack):
+///    the trusted L1 and at most one untrusted persistent tier (the disk
+///    L2, or any other ResultStore a caller attaches). There is no
+///    auto-promotion: the checker copies a persistent hit into L1 only
+///    after the replay accepted it.
 ///
 /// All stores are thread-safe; verification jobs probe at job start and
 /// publish at job end through the same interface regardless of tier.
@@ -45,10 +44,8 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace rcc::store {
 
@@ -152,57 +149,6 @@ public:
 private:
   std::string Dir;
   std::atomic<uint64_t> TmpCounter{0};
-};
-
-/// The uniform tier stack: probes tiers in order; `get` reports which tier
-/// hit so the caller can apply the tier's trust policy before promoting the
-/// entry upward. Each tier carries its trust attribute — a hit in an
-/// untrusted tier must be replayed through the ProofChecker (or explicitly
-/// hash-trusted) by the caller before it is surfaced.
-class TieredResultStore final : public ResultStore {
-public:
-  /// Appends a tier to the probe order. \p Trusted: entries were produced
-  /// by this process (in-memory tiers); untrusted tiers (disk, network)
-  /// require validation on every hit.
-  void addTier(std::shared_ptr<ResultStore> S, bool Trusted) {
-    Tiers.push_back(std::move(S));
-    TrustedBits.push_back(Trusted);
-  }
-  /// Detaches every tier (the tiers themselves survive through their
-  /// shared_ptr owners); used when a session re-composes its tiers.
-  void resetTiers() {
-    Tiers.clear();
-    TrustedBits.clear();
-  }
-  size_t numTiers() const { return Tiers.size(); }
-  ResultStore &tier(size_t I) { return *Tiers[I]; }
-  const ResultStore &tier(size_t I) const { return *Tiers[I]; }
-  /// Whether tier \p I's entries are trusted as-is.
-  bool trusted(size_t I) const { return TrustedBits[I]; }
-
-  /// Probes tiers in order; on a hit, \p HitTier is the tier index.
-  bool get(const std::string &Name, uint64_t Key, refinedc::FnResult &Out,
-           size_t &HitTier);
-  bool get(const std::string &Name, uint64_t Key,
-           refinedc::FnResult &Out) override {
-    size_t T;
-    return get(Name, Key, Out, T);
-  }
-  /// Publishes to every tier.
-  void put(const std::string &Name, uint64_t Key,
-           const refinedc::FnResult &R) override;
-  /// Copies a validated result into every tier above \p FromTier (i.e.
-  /// tiers probed earlier). Called after the caller has replayed/trusted a
-  /// lower-tier hit.
-  void promote(const std::string &Name, uint64_t Key,
-               const refinedc::FnResult &R, size_t FromTier);
-  void drop(const std::string &Name, uint64_t Key) override;
-  void clear() override;
-  const char *tierName() const override { return "tiered"; }
-
-private:
-  std::vector<std::shared_ptr<ResultStore>> Tiers;
-  std::vector<bool> TrustedBits; ///< parallel to Tiers
 };
 
 } // namespace rcc::store

@@ -11,7 +11,71 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
+#include <vector>
+
 using namespace rcc::pure;
+
+namespace {
+/// Alpha-equivalence: equal up to the names of bound variables. \p Bound
+/// pairs the binders of A and B that are in scope, innermost last.
+bool alphaEq(TermRef A, TermRef B,
+             std::vector<std::pair<std::string, std::string>> &Bound) {
+  if (A->kind() != B->kind() || A->sort() != B->sort() ||
+      A->num() != B->num() || A->numArgs() != B->numArgs())
+    return false;
+  if (A->kind() == TermKind::Var) {
+    for (auto It = Bound.rbegin(); It != Bound.rend(); ++It) {
+      bool InA = It->first == A->name(), InB = It->second == B->name();
+      if (InA || InB)
+        return InA && InB;
+    }
+    return A->name() == B->name();
+  }
+  if (A->isBinder()) {
+    if (A->binderSort() != B->binderSort())
+      return false;
+    Bound.push_back({A->name(), B->name()});
+    bool Eq = alphaEq(A->arg(0), B->arg(0), Bound);
+    Bound.pop_back();
+    return Eq;
+  }
+  if (A->name() != B->name())
+    return false;
+  for (unsigned I = 0; I < A->numArgs(); ++I)
+    if (!alphaEq(A->arg(I), B->arg(I), Bound))
+      return false;
+  return true;
+}
+
+bool alphaEq(TermRef A, TermRef B) {
+  std::vector<std::pair<std::string, std::string>> Bound;
+  return alphaEq(A, B, Bound);
+}
+
+/// Substitutions that each rename at least one binder: `n := k + j` under
+/// binders named k and j (nested, shadowing, and next to free `k!1`).
+std::vector<TermRef> capturingSubstitutions() {
+  TermRef K = mkVar("k", Sort::Nat), J = mkVar("j", Sort::Nat);
+  TermRef N = mkVar("n", Sort::Nat);
+  std::vector<TermRef> Out;
+  for (int64_t I = 0; I < 50; ++I) {
+    TermRef C = mkNat(I);
+    TermRef T1 = mkForall("k", Sort::Nat, mkLe(mkAdd(K, C), N));
+    TermRef T2 = mkForall(
+        "k", Sort::Nat,
+        mkExists("j", Sort::Nat, mkLe(mkAdd(K, J), mkAdd(N, C))));
+    TermRef T3 = mkForall(
+        "k", Sort::Nat,
+        mkAnd(mkLe(mkVar("k!1", Sort::Nat), N),
+              mkForall("k", Sort::Nat, mkLt(K, mkAdd(N, C)))));
+    for (TermRef T : {T1, T2, T3})
+      Out.push_back(substVar(T, "n", mkAdd(K, J)));
+  }
+  return Out;
+}
+} // namespace
 
 TEST(Term, HashConsingGivesPointerEquality) {
   TermRef A = mkAdd(mkVar("x", Sort::Nat), mkNat(1));
@@ -37,6 +101,44 @@ TEST(Term, SubstVarAvoidsCapture) {
   EXPECT_NE(R->name(), "k") << "binder should have been freshened";
   // The free k (from the substitution) must remain free.
   EXPECT_TRUE(containsFreeVar(R, "k"));
+}
+
+TEST(Term, SubstVarRenamesToTheSmallestFreeName) {
+  // k!1 is free in the body, so the renamed binder is k!2.
+  TermRef K = mkVar("k", Sort::Nat);
+  TermRef F = mkForall(
+      "k", Sort::Nat,
+      mkLe(mkAdd(K, mkVar("k!1", Sort::Nat)), mkVar("n", Sort::Nat)));
+  TermRef R = substVar(F, "n", K);
+  ASSERT_EQ(R->kind(), TermKind::Forall);
+  EXPECT_EQ(R->name(), "k!2");
+  EXPECT_TRUE(containsFreeVar(R, "k"));
+  EXPECT_TRUE(containsFreeVar(R, "k!1"));
+  EXPECT_EQ(substVar(F, "n", K), R) << "the rename is deterministic";
+}
+
+TEST(Term, CapturingSubstitutionsAgreeAcrossThreads) {
+  constexpr unsigned NThreads = 4;
+  std::vector<std::vector<TermRef>> Results(NThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NThreads; ++T)
+    Threads.emplace_back([&Results, T] {
+      for (int Rep = 0; Rep < 20; ++Rep)
+        Results[T] = capturingSubstitutions();
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  std::vector<TermRef> Ref = capturingSubstitutions();
+  for (unsigned T = 0; T < NThreads; ++T) {
+    ASSERT_EQ(Results[T].size(), Ref.size());
+    for (size_t I = 0; I < Ref.size(); ++I) {
+      EXPECT_TRUE(alphaEq(Results[T][I], Ref[I]))
+          << Results[T][I]->str() << " vs " << Ref[I]->str();
+      // Capture was avoided: the substituted k and j stay free.
+      EXPECT_TRUE(containsFreeVar(Results[T][I], "k"));
+      EXPECT_TRUE(containsFreeVar(Results[T][I], "j"));
+    }
+  }
 }
 
 TEST(Term, SubstShadowedBinderUnchanged) {
@@ -82,6 +184,12 @@ TEST(EvarEnv, ResolveIsRecursive) {
   EXPECT_TRUE(Env.bind(E1->num(), mkAdd(E2, mkNat(1))));
   EXPECT_TRUE(Env.bind(E2->num(), mkNat(2)));
   EXPECT_EQ(Env.resolve(E1), mkAdd(mkNat(2), mkNat(1)));
+}
+
+TEST(EvarEnv, ResolveWithoutBindingsReturnsItsArgument) {
+  EvarEnv Env;
+  TermRef T = mkAdd(Env.fresh(Sort::Nat), mkVar("x", Sort::Nat));
+  EXPECT_EQ(Env.resolve(T), T);
 }
 
 TEST(Simplify, ConstantFolding) {

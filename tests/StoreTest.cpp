@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The contracts of the tiered result store (DESIGN.md, "Persistent
-/// verification store"): lossless serialization that re-interns pure terms,
-/// corruption rejected as a miss (never a crash), cross-session reuse with
-/// replay-established trust, fingerprint self-invalidation, and tier
-/// promotion.
+/// The contracts of the result store (DESIGN.md, "Persistent verification
+/// store"): lossless serialization that re-interns pure terms, corruption
+/// rejected as a miss (never a crash), cross-session reuse with
+/// replay-established trust under every Recheck setting, fingerprint
+/// self-invalidation, and promotion into L1 only after validation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,6 +101,65 @@ size_t countEntries(const std::string &Dir) {
     if (E.path().extension() == ".rcv")
       ++N;
   return N;
+}
+
+/// The key of the only entry under \p Dir (files are
+/// `<name>.<key-hex>.rcv`).
+uint64_t onlyEntryKey(const std::string &Dir) {
+  uint64_t Key = 0;
+  for (const auto &E : fs::directory_iterator(Dir))
+    if (E.path().extension() == ".rcv")
+      Key = std::stoull(E.path().stem().extension().string().substr(1),
+                        nullptr, 16);
+  return Key;
+}
+
+/// The false side condition a forged derivation claims.
+TermRef forgedProp() { return mkLe(mkNat(5), mkNat(3)); }
+
+/// Rewrites the only entry under \p Dir into a *well-formed* forgery whose
+/// derivation claims forgedProp(): the envelope (magic/version/key/checksum)
+/// stays valid, so only the replay can catch it.
+void forgeFalseSideCondition(const std::string &Dir) {
+  fs::path EntryPath;
+  for (const auto &E : fs::directory_iterator(Dir))
+    if (E.path().extension() == ".rcv")
+      EntryPath = E.path();
+  std::ifstream In(EntryPath, std::ios::binary);
+  std::string Raw((std::istreambuf_iterator<char>(In)),
+                  std::istreambuf_iterator<char>());
+  In.close();
+
+  BinaryReader R(Raw);
+  uint32_t Magic = 0, Format = 0;
+  std::string Tool, Name, Payload;
+  uint64_t Key = 0, Checksum = 0;
+  ASSERT_TRUE(R.u32(Magic) && R.u32(Format) && R.str(Tool) && R.str(Name) &&
+              R.u64(Key) && R.str(Payload) && R.u64(Checksum));
+
+  FnResult Entry;
+  ASSERT_TRUE(deserializeFnResult(Payload, Entry));
+  bool Tampered = false;
+  for (lithium::DerivStep &S : Entry.Deriv.Steps)
+    if (S.K == lithium::DerivStep::SideCond && S.Prop) {
+      S.Prop = forgedProp();
+      S.Hyps.clear();
+      Tampered = true;
+      break;
+    }
+  ASSERT_TRUE(Tampered);
+
+  std::string NewPayload = serializeFnResult(Entry);
+  BinaryWriter W;
+  W.u32(Magic);
+  W.u32(Format);
+  W.str(Tool);
+  W.str(Name);
+  W.u64(Key);
+  W.str(NewPayload);
+  W.u64(checksumBytes(NewPayload));
+  std::ofstream Out(EntryPath, std::ios::binary | std::ios::trunc);
+  Out.write(W.data().data(), static_cast<std::streamsize>(W.data().size()));
 }
 
 } // namespace
@@ -252,41 +311,6 @@ TEST(Store, DiskTierRoundTripsAndRejectsCorruption) {
   EXPECT_EQ(NonEntry, 0u);
 }
 
-TEST(Store, TieredProbeOrderAndPromotion) {
-  auto M1 = std::make_shared<MemoryResultStore>();
-  auto M2 = std::make_shared<MemoryResultStore>();
-  TieredResultStore T;
-  T.addTier(M1, /*Trusted=*/true);
-  T.addTier(M2, /*Trusted=*/false);
-  EXPECT_TRUE(T.trusted(0));
-  EXPECT_FALSE(T.trusted(1));
-
-  FnResult R;
-  R.Name = "f";
-  R.Verified = true;
-  M2->put("f", 7, R);
-
-  FnResult L;
-  size_t Tier = 99;
-  ASSERT_TRUE(T.get("f", 7, L, Tier));
-  EXPECT_EQ(Tier, 1u) << "hit must be attributed to the lower tier";
-
-  // No auto-promotion: trust is the caller's decision.
-  EXPECT_FALSE(M1->get("f", 7, L));
-
-  T.promote("f", 7, R, /*FromTier=*/1);
-  ASSERT_TRUE(M1->get("f", 7, L));
-  Tier = 99;
-  ASSERT_TRUE(T.get("f", 7, L, Tier));
-  EXPECT_EQ(Tier, 0u);
-
-  // Stale key: the entry self-invalidates.
-  EXPECT_FALSE(T.get("f", 8, L, Tier));
-  // drop removes from every tier.
-  T.drop("f", 7);
-  EXPECT_FALSE(T.get("f", 7, L, Tier));
-}
-
 //===----------------------------------------------------------------------===//
 // Checker integration: cross-session reuse, replay trust, fingerprints
 //===----------------------------------------------------------------------===//
@@ -341,7 +365,9 @@ TEST(Store, SecondSessionIsServedFromDiskAndReplayed) {
   EXPECT_EQ(PR2.ReplayedHits, 0u);
 }
 
-TEST(Store, NoRecheckDowngradesToHashTrust) {
+TEST(Store, NoRecheckStillReplaysPersistentHits) {
+  // Recheck only governs this process's own searches: a persistent hit is
+  // outside input and is replayed before it is surfaced either way.
   TempDir Dir;
   auto AP = compile(kIncSource);
   VerifyOptions Opts;
@@ -353,13 +379,42 @@ TEST(Store, NoRecheckDowngradesToHashTrust) {
     ASSERT_TRUE(C.buildEnv());
     (void)C.verifyFunctions({"inc"}, Opts);
   }
+  ASSERT_EQ(countEntries(Dir.str()), 1u);
+  {
+    DiagnosticEngine Diags;
+    Checker C(*AP, Diags);
+    ASSERT_TRUE(C.buildEnv());
+    ProgramResult PR = C.verifyFunctions({"inc"}, Opts);
+    EXPECT_EQ(PR.L2Hits, 1u);
+    EXPECT_EQ(PR.ReplayedHits, 1u) << "--no-recheck must still replay";
+    EXPECT_EQ(PR.ReplayFailures, 0u);
+    EXPECT_TRUE(PR.Fns[0].Verified);
+    EXPECT_TRUE(PR.Fns[0].Rechecked);
+    EXPECT_TRUE(PR.Fns[0].RecheckOk);
+  }
+
+  // A well-formed forgery is rejected and the function re-verified, and
+  // the forged result never reaches L1: promotion follows validation.
+  ASSERT_NO_FATAL_FAILURE(forgeFalseSideCondition(Dir.str()));
+  auto SharedL1 = std::make_shared<MemoryResultStore>();
   DiagnosticEngine Diags;
   Checker C(*AP, Diags);
   ASSERT_TRUE(C.buildEnv());
+  C.adoptTierStack(SharedL1, std::make_shared<DiskResultStore>(Dir.str()));
   ProgramResult PR = C.verifyFunctions({"inc"}, Opts);
-  EXPECT_EQ(PR.L2Hits, 1u);
-  EXPECT_EQ(PR.ReplayedHits, 0u) << "--no-recheck must not replay";
-  EXPECT_TRUE(PR.Fns[0].Verified);
+  EXPECT_EQ(PR.CacheHits, 0u);
+  EXPECT_EQ(PR.CacheMisses, 1u);
+  EXPECT_EQ(PR.ReplayedHits, 1u);
+  EXPECT_EQ(PR.ReplayFailures, 1u);
+  EXPECT_TRUE(PR.allVerified());
+  EXPECT_FALSE(PR.Fns[0].Rechecked) << "the fresh search was not rechecked";
+  EXPECT_EQ(SharedL1->counters().Puts.load(), 1u)
+      << "only the fresh result may be published to L1";
+  FnResult InL1;
+  ASSERT_TRUE(SharedL1->get("inc", onlyEntryKey(Dir.str()), InL1));
+  for (const lithium::DerivStep &S : InL1.Deriv.Steps)
+    EXPECT_NE(S.Prop, forgedProp()) << "forged entry promoted into L1";
+  EXPECT_EQ(countEntries(Dir.str()), 1u) << "healed entry re-published";
 }
 
 TEST(Store, TamperedEntryFailsReplayAndIsReVerified) {
@@ -376,49 +431,7 @@ TEST(Store, TamperedEntryFailsReplayAndIsReVerified) {
   }
   ASSERT_EQ(countEntries(Dir.str()), 1u);
 
-  // Forge a *well-formed* entry whose derivation claims a false side
-  // condition: the envelope (magic/version/key/checksum) is valid, so only
-  // the replay can catch it.
-  fs::path EntryPath;
-  for (const auto &E : fs::directory_iterator(Dir.str()))
-    if (E.path().extension() == ".rcv")
-      EntryPath = E.path();
-  std::ifstream In(EntryPath, std::ios::binary);
-  std::string Raw((std::istreambuf_iterator<char>(In)),
-                  std::istreambuf_iterator<char>());
-  In.close();
-
-  BinaryReader R(Raw);
-  uint32_t Magic = 0, Format = 0;
-  std::string Tool, Name, Payload;
-  uint64_t Key = 0, Checksum = 0;
-  ASSERT_TRUE(R.u32(Magic) && R.u32(Format) && R.str(Tool) && R.str(Name) &&
-              R.u64(Key) && R.str(Payload) && R.u64(Checksum));
-
-  FnResult Entry;
-  ASSERT_TRUE(deserializeFnResult(Payload, Entry));
-  bool Tampered = false;
-  for (lithium::DerivStep &S : Entry.Deriv.Steps)
-    if (S.K == lithium::DerivStep::SideCond && S.Prop) {
-      S.Prop = mkLe(mkNat(5), mkNat(3));
-      S.Hyps.clear();
-      Tampered = true;
-      break;
-    }
-  ASSERT_TRUE(Tampered);
-
-  std::string NewPayload = serializeFnResult(Entry);
-  BinaryWriter W;
-  W.u32(Magic);
-  W.u32(Format);
-  W.str(Tool);
-  W.str(Name);
-  W.u64(Key);
-  W.str(NewPayload);
-  W.u64(checksumBytes(NewPayload));
-  std::ofstream Out(EntryPath, std::ios::binary | std::ios::trunc);
-  Out.write(W.data().data(), static_cast<std::streamsize>(W.data().size()));
-  Out.close();
+  ASSERT_NO_FATAL_FAILURE(forgeFalseSideCondition(Dir.str()));
 
   // The forged entry passes the envelope but fails the replay: it is
   // dropped and the function re-verified from scratch — and the fresh
@@ -468,12 +481,7 @@ TEST(Store, ForgedTrustedBitIsNotBelieved) {
   }
   ASSERT_EQ(countEntries(Dir.str()), 1u);
 
-  // The entry file is `max_sz.<key-hex>.rcv`.
-  uint64_t Key = 0;
-  for (const auto &E : fs::directory_iterator(Dir.str()))
-    if (E.path().extension() == ".rcv")
-      Key = std::stoull(E.path().stem().extension().string().substr(1),
-                        nullptr, 16);
+  const uint64_t Key = onlyEntryKey(Dir.str());
   DiskResultStore Disk(Dir.str());
   FnResult Entry;
   ASSERT_TRUE(Disk.get("max_sz", Key, Entry));

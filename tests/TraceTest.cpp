@@ -497,15 +497,16 @@ TEST(Trace, EventCapIsPerThreadAndUncappedByDefault) {
 }
 
 TEST(Trace, CappedVerificationRunStillReportsMetrics) {
-  // VerifyOptions::TraceEventCap reaches the internal session: the trace is
-  // truncated but the metrics (never buffered) are complete.
+  // A session capped at 4 events per thread: the trace is truncated but the
+  // metrics (never buffered) are complete.
+  TraceSession TS(/*Deterministic=*/true, /*EventCap=*/4);
   refinedc::VerifyOptions Opts;
-  Opts.Profile = true;
+  Opts.Trace = &TS;
   Opts.DeterministicTrace = true;
-  Opts.TraceEventCap = 4;
   refinedc::ProgramResult PR =
       verifyTraced(FourFns, {"swap", "max_sz", "ident", "keep"}, Opts);
   EXPECT_TRUE(PR.allVerified());
+  EXPECT_GT(TS.droppedEvents(), 0u);
   EXPECT_NE(PR.Metrics.find("trace.dropped_events"), std::string::npos);
   EXPECT_NE(PR.Metrics.find("engine.rule_apps"), std::string::npos);
 }
