@@ -145,15 +145,19 @@ int main() {
            C.rules().numRules());
   }
 
-  // Machine-readable artifact: per-row counts plus the full metrics snapshot
-  // of the traced run. It carries no timings (durations export as 0), so a
-  // rerun reproduces it byte for byte; scripts/check.sh compares the two.
+  // Machine-readable artifact: per-row counts and derivation digests plus
+  // the full metrics snapshot of the traced run. It carries no timings
+  // (durations export as 0), so a rerun reproduces it byte for byte;
+  // scripts/check.sh compares the two.
   {
     std::ofstream OS("BENCH_figure7.json");
     OS << "{\n  \"bench\": \"figure7_table\",\n  \"version\": \""
        << rcc::versionString() << "\",\n  \"rows\": [";
     for (size_t I = 0; I < Rows.size(); ++I) {
       const Fig7Row &R = Rows[I];
+      char Fnv[17];
+      snprintf(Fnv, sizeof(Fnv), "%016llx",
+               static_cast<unsigned long long>(R.DerivationFnv));
       OS << (I ? ",\n    {" : "\n    {") << "\"name\": \"" << R.Name
          << "\", \"verified\": " << (R.Verified ? "true" : "false")
          << ", \"rule_apps\": " << R.RuleApps
@@ -162,7 +166,8 @@ int main() {
          << ", \"side_cond_manual\": " << R.SideCondManual
          << ", \"side_cond_manual_off\": "
          << (I < OffRows.size() ? OffRows[I].SideCondManual : 0)
-         << ", \"pure_lines\": " << R.PureLines << "}";
+         << ", \"pure_lines\": " << R.PureLines << ", \"derivation_fnv\": \""
+         << Fnv << "\"}";
     }
     OS << "\n  ],\n  \"metrics\": "
        << TS.metrics().toJson(/*Deterministic=*/true) << "\n}\n";

@@ -44,8 +44,9 @@ replayed=$(echo "$out" | sed -n 's/.*"replayed_hits": \([0-9]*\).*/\1/p')
 
 # 4. Figure-7 gates. The regenerated BENCH_figure7.json must be
 #    byte-identical to the committed one: it carries no timings, so any
-#    difference is a changed row count or metric, and the committed rows
-#    are the figure-7 refactor oracle (regenerate and commit it when a
+#    difference is a changed row count, metric or derivation (each row's
+#    `derivation_fnv` digests every recorded proof step), and the committed
+#    rows are the figure-7 refactor oracle (regenerate and commit it when a
 #    change is meant to move them). Rule-dispatch gate: over the full
 #    figure-7 corpus, (nearly) every multi-rule lookup must be served by
 #    the discrimination index. A rule registered with a too-coarse RuleKey

@@ -9,6 +9,7 @@
 #include "caesium/Interp.h"
 #include "frontend/Frontend.h"
 #include "refinedc/Checker.h"
+#include "refinedc/FnHash.h"
 #include "support/ThreadPool.h"
 #include "support/Util.h"
 
@@ -48,7 +49,15 @@ Fig7Row rcc::casestudies::evaluateCaseStudy(const CaseStudy &CS,
   ProgramResult PR = C.verifyFunctions(CS.Functions, VO);
 
   std::set<std::string> Rules;
+  ContentHasher Deriv;
   for (const FnResult &R : PR.Fns) {
+    for (const lithium::DerivStep &S : R.Deriv.Steps) {
+      Deriv.mix(S.K).mix(S.Rule).mix(S.Text).mix(S.Manual);
+      Deriv.mix(S.Prop ? S.Prop->str() : std::string());
+      Deriv.mix(S.Hyps.size());
+      for (pure::TermRef H : S.Hyps)
+        Deriv.mix(H->str());
+    }
     if (!R.Verified && Row.Error.empty())
       Row.Error = R.renderError(CS.Source);
     Row.RuleApps += R.Stats.RuleApps;
@@ -63,6 +72,7 @@ Fig7Row rcc::casestudies::evaluateCaseStudy(const CaseStudy &CS,
   Row.Verified = PR.allVerified();
   Row.ProofCheckOk = Row.Verified && PR.allRechecksOk();
   Row.DistinctRules = static_cast<unsigned>(Rules.size());
+  Row.DerivationFnv = Deriv.get();
 
   SourceLineStats LS = countSourceLines(CS.Source);
   Row.ImplLines = LS.Impl;

@@ -48,6 +48,10 @@ struct Fig7Row {
   unsigned AnnotOther = 0;
   unsigned PureLines = 0;
   double Overhead = 0.0;
+  /// FNV-1a over every recorded derivation step (kind, rule, text, manual
+  /// bit, rendered proposition and hypotheses) of the row's functions, in
+  /// CaseStudy::Functions order: pins the certificates byte for byte.
+  uint64_t DerivationFnv = 0;
 
   unsigned BacktrackedSteps = 0; ///< ablation runs only
   double VerifyMillis = 0.0;
