@@ -187,10 +187,16 @@ uint64_t RuleRegistry::fingerprint() const {
 }
 
 template <typename F>
-void RuleRegistry::forEachCandidate(const KindTable &T, uint32_t D, F &&Fn) {
+void RuleRegistry::forEachCandidate(const KindTable &T, const Judgment &J,
+                                    EngineStats &ES, F &&Fn) const {
+  if (Mode == DispatchMode::Linear) {
+    for (const Rule &R : T.All)
+      Fn(R);
+    return;
+  }
   const std::vector<const Rule *> *B = nullptr;
   if (T.AnyIndexed) {
-    auto It = T.Buckets.find(D);
+    auto It = T.Buckets.find(discriminatorOf(J));
     if (It != T.Buckets.end())
       B = &It->second;
   }
@@ -202,17 +208,15 @@ void RuleRegistry::forEachCandidate(const KindTable &T, uint32_t D, F &&Fn) {
     else
       Fn(*W[K++]);
   }
+  // A lookup counts as indexed when the candidate set was pruned (or the
+  // kind has a single rule, where there is nothing to prune); a full-width
+  // walk of a multi-rule kind is a scan fallback — the check.sh gate keeps
+  // those near zero on the corpus.
+  if (T.All.size() > 1 && !(T.AnyIndexed && NB + W.size() < T.All.size()))
+    ++ES.ScanFallbacks;
+  else
+    ++ES.IndexHits;
 }
-
-namespace {
-/// Running best-candidate state, shared by the linear and indexed paths so
-/// selection semantics (highest priority wins, equal-priority tie is an
-/// ambiguity error) are identical by construction.
-struct SelectState {
-  const Rule *Best = nullptr;
-  bool Ambiguous = false;
-};
-} // namespace
 
 const Rule *RuleRegistry::lookup(Engine &E, const Judgment &J,
                                  std::string &Err) const {
@@ -225,7 +229,11 @@ const Rule *RuleRegistry::lookup(Engine &E, const Judgment &J,
   const KindTable &T = It->second;
   EngineStats &ES = E.stats();
 
-  auto consider = [&](SelectState &S, const Rule &R, std::string &E2) {
+  // Selection (highest priority wins, an equal-priority tie is an
+  // ambiguity error) runs over the candidates of either mode.
+  const Rule *Best = nullptr;
+  bool Ambiguous = false;
+  auto consider = [&](const Rule &R) {
     // A null Matches is a total rule: the key is the whole dispatch
     // condition, so there is no residual guard to evaluate (or count).
     if (R.Matches) {
@@ -233,45 +241,21 @@ const Rule *RuleRegistry::lookup(Engine &E, const Judgment &J,
       if (!R.Matches(E, J))
         return;
     }
-    if (!S.Best || R.Priority > S.Best->Priority) {
-      S.Best = &R;
-      S.Ambiguous = false;
-    } else if (R.Priority == S.Best->Priority) {
-      S.Ambiguous = true;
-      E2 = "ambiguous typing rules '" + S.Best->Name + "' and '" + R.Name +
-           "' for " + J.str() +
-           " (Lithium requires a unique applicable rule)";
+    if (!Best || R.Priority > Best->Priority) {
+      Best = &R;
+      Ambiguous = false;
+    } else if (R.Priority == Best->Priority) {
+      Ambiguous = true;
+      Err = "ambiguous typing rules '" + Best->Name + "' and '" + R.Name +
+            "' for " + J.str() +
+            " (Lithium requires a unique applicable rule)";
     }
   };
-  auto runScan = [&](std::string &E2) {
-    SelectState S;
-    for (const Rule &R : T.All)
-      consider(S, R, E2);
-    return S;
-  };
-  auto runIndexed = [&](std::string &E2) {
-    SelectState S;
-    size_t Considered = 0;
-    forEachCandidate(T, discriminatorOf(J), [&](const Rule &R) {
-      ++Considered;
-      consider(S, R, E2);
-    });
-    // A lookup counts as indexed when the candidate set was pruned (or the
-    // kind has a single rule, where there is nothing to prune); a full-width
-    // walk of a multi-rule kind is a scan fallback — the check.sh gate keeps
-    // those near zero on the corpus.
-    if (T.All.size() > 1 && !(T.AnyIndexed && Considered < T.All.size()))
-      ++ES.ScanFallbacks;
-    else
-      ++ES.IndexHits;
-    return S;
-  };
 
-  const bool UseIndex = Mode != DispatchMode::Linear;
   const bool IsSub = J.K == JudgKind::SubsumeV || J.K == JudgKind::SubsumeL;
   uint64_t MemoKey = 0;
   bool CanMemo = false;
-  if (UseIndex && IsSub && J.T1 && J.T2) {
+  if (Mode == DispatchMode::Indexed && IsSub && J.T1 && J.T2) {
     uint64_t S1 = E.shapeId(E.resolveTy(J.T1));
     uint64_t S2 = E.shapeId(E.resolveTy(J.T2));
     MemoKey = (uint64_t(J.K == JudgKind::SubsumeL) << 63) | (S1 << 32) | S2;
@@ -280,38 +264,21 @@ const Rule *RuleRegistry::lookup(Engine &E, const Judgment &J,
     if (MIt != E.SubsumeMemo.end()) {
       ++ES.MemoHits;
       ++ES.IndexHits;
-      if (Mode == DispatchMode::CrossCheck) {
-        std::string E2;
-        SelectState S = runScan(E2);
-        if (S.Best != MIt->second || S.Ambiguous)
-          XMismatch.fetch_add(1, std::memory_order_relaxed);
-      }
       return MIt->second;
     }
     ++ES.MemoMisses;
   }
 
-  SelectState S;
-  if (!UseIndex) {
-    S = runScan(Err);
-  } else {
-    S = runIndexed(Err);
-    if (Mode == DispatchMode::CrossCheck) {
-      std::string E2;
-      SelectState S2 = runScan(E2);
-      if (S2.Best != S.Best || S2.Ambiguous != S.Ambiguous)
-        XMismatch.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (!S.Best) {
+  forEachCandidate(T, J, ES, consider);
+  if (!Best) {
     Err = "no typing rule applies to " + J.str();
     return nullptr;
   }
-  if (S.Ambiguous)
+  if (Ambiguous)
     return nullptr;
   if (CanMemo)
-    E.SubsumeMemo.emplace(MemoKey, S.Best);
-  return S.Best;
+    E.SubsumeMemo.emplace(MemoKey, Best);
+  return Best;
 }
 
 std::vector<const Rule *> RuleRegistry::lookupAll(Engine &E,
@@ -332,37 +299,14 @@ std::vector<const Rule *> RuleRegistry::lookupAll(Engine &E,
                                         : A->Priority > B->Priority;
                      });
   };
-  auto collectScan = [&](bool Count) {
-    std::vector<const Rule *> Out;
-    for (const Rule &R : T.All) {
-      if (R.Matches && Count)
-        ++ES.MatchesEvals;
-      if (!R.Matches || R.Matches(E, J))
-        Out.push_back(&R);
-    }
-    sortByPriority(Out);
-    return Out;
-  };
-
-  if (Mode == DispatchMode::Linear)
-    return collectScan(/*Count=*/true);
-
   std::vector<const Rule *> Out;
-  size_t Considered = 0;
-  forEachCandidate(T, discriminatorOf(J), [&](const Rule &R) {
-    ++Considered;
+  forEachCandidate(T, J, ES, [&](const Rule &R) {
     if (R.Matches)
       ++ES.MatchesEvals;
     if (!R.Matches || R.Matches(E, J))
       Out.push_back(&R);
   });
-  if (T.All.size() > 1 && !(T.AnyIndexed && Considered < T.All.size()))
-    ++ES.ScanFallbacks;
-  else
-    ++ES.IndexHits;
   sortByPriority(Out);
-  if (Mode == DispatchMode::CrossCheck && Out != collectScan(/*Count=*/false))
-    XMismatch.fetch_add(1, std::memory_order_relaxed);
   return Out;
 }
 
@@ -544,7 +488,7 @@ bool Engine::popValAtom(TermRef V, ResAtom &Out, rcc::SourceLoc Loc) {
       continue;
     Out = Delta[I];
     Delta.erase(Delta.begin() + I);
-    record({DerivStep::AtomMatch, "pop-val", Out.str(), nullptr, {}, false});
+    recordAtom("pop-val", Out.str());
     if (CtSubsumePop)
       CtSubsumePop->add(1);
     return true;
@@ -585,8 +529,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         else
           A.Ty = Ty;
         pushAtom(std::move(A)); // normalization splits struct/padded
-        record({DerivStep::RuleApp, "unfold-named", Ty->str(), nullptr, {},
-                false});
+        recordBuiltin(BuiltinStep::UnfoldNamed, Ty->str());
         Reshaped = true;
         break;
       }
@@ -600,34 +543,20 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         if (!Exact) {
           TermRef SzT = mkNat(static_cast<int64_t>(Size));
           pure::SolveResult EqR = Solver.prove(Gamma, mkEq(SzT, N), Evars);
-          if (!EqR.Proved) {
-            TermRef Need = mkLe(SzT, N);
-            pure::SolveResult SR = Solver.prove(Gamma, Need, Evars);
-            if (SR.Proved) {
-              std::vector<TermRef> RHyps;
-              for (TermRef H : Gamma)
-                RHyps.push_back(Evars.resolve(H));
-              record({DerivStep::SideCond, SR.Engine, Need->str(),
-                      Evars.resolve(Need), std::move(RHyps), SR.Manual});
-              if (SR.Manual)
-                ++Stats.SideCondManual;
-              else
-                ++Stats.SideCondAuto;
-              bool IsAny = Ty->K == refinedc::TypeKind::Any;
-              TermRef Rest = Solver.simplifier().simplify(
-                  Evars.resolve(mkSub(N, SzT)));
-              Delta.erase(Delta.begin() + I);
-              Delta.push_back(refinedc::ResAtom::loc(
-                  locOffset(L, Size),
-                  IsAny ? refinedc::tyAny(Rest) : refinedc::tyUninit(Rest)));
-              Out = refinedc::ResAtom::loc(
-                  L, IsAny ? refinedc::tyAny(SzT) : refinedc::tyUninit(SzT));
-              record({DerivStep::AtomMatch, "pop-loc-split", Out.str(),
-                      nullptr, {}, false});
-              if (CtSubsumePop)
-                CtSubsumePop->add(1);
-              return true;
-            }
+          if (!EqR.Proved && trySideCond(mkLe(SzT, N))) {
+            bool IsAny = Ty->K == refinedc::TypeKind::Any;
+            TermRef Rest = Solver.simplifier().simplify(
+                Evars.resolve(mkSub(N, SzT)));
+            Delta.erase(Delta.begin() + I);
+            Delta.push_back(refinedc::ResAtom::loc(
+                locOffset(L, Size),
+                IsAny ? refinedc::tyAny(Rest) : refinedc::tyUninit(Rest)));
+            Out = refinedc::ResAtom::loc(
+                L, IsAny ? refinedc::tyAny(SzT) : refinedc::tyUninit(SzT));
+            recordAtom("pop-loc-split", Out.str());
+            if (CtSubsumePop)
+              CtSubsumePop->add(1);
+            return true;
           }
         }
       }
@@ -635,8 +564,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
       Out.Subject = L;
       Out.Ty = Ty;
       Delta.erase(Delta.begin() + I);
-      record(
-          {DerivStep::AtomMatch, "pop-loc", Out.str(), nullptr, {}, false});
+      recordAtom("pop-loc", Out.str());
       if (CtSubsumePop)
         CtSubsumePop->add(1);
       return true;
@@ -667,20 +595,8 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         uint64_t Lead = Off - AOff;
         // Need Lead + Size <= n.
         TermRef N = Ty->Size;
-        TermRef Need =
-            mkLe(mkNat(static_cast<int64_t>(Lead + Size)), N);
-        pure::SolveResult SR = Solver.prove(Gamma, Need, Evars);
-        if (!SR.Proved)
+        if (!trySideCond(mkLe(mkNat(static_cast<int64_t>(Lead + Size)), N)))
           continue;
-        std::vector<TermRef> RHyps;
-        for (TermRef H : Gamma)
-          RHyps.push_back(Evars.resolve(H));
-        record({DerivStep::SideCond, SR.Engine, Need->str(),
-                Evars.resolve(Need), std::move(RHyps), SR.Manual});
-        if (SR.Manual)
-          ++Stats.SideCondManual;
-        else
-          ++Stats.SideCondAuto;
         // Split into [lead][target][rest].
         bool IsAny = Ty->K == TypeKind::Any;
         auto Piece = [&](TermRef Sz) {
@@ -717,8 +633,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         ResAtom N = A;
         N.Ty = unfoldNamed(*Ty);
         pushAtom(std::move(N));
-        record({DerivStep::RuleApp, "unfold-named", Ty->str(), nullptr, {},
-                false});
+        recordBuiltin(BuiltinStep::UnfoldNamed, Ty->str());
         Focused = true;
         break;
       }
@@ -733,8 +648,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         Delta.push_back(ResAtom::loc(
             A.Subject, tyValueOf(Pointee, mkNat(caesium::PtrBytes))));
       pushAtom(ResAtom::loc(Pointee, Ty->Children[0]));
-      record({DerivStep::RuleApp, "focus-own", Pointee->str(), nullptr, {},
-              false});
+      recordBuiltin(BuiltinStep::FocusOwn, Pointee->str());
       Focused = true;
     }
     if (Focused)
@@ -754,8 +668,7 @@ bool Engine::popLocAtom(TermRef L, uint64_t Size, ResAtom &Out,
         // The value IS the pointer; its pointee ownership becomes a loc atom.
         Delta.erase(Delta.begin() + I);
         pushAtom(ResAtom::loc(Base, Ty->Children[0]));
-        record({DerivStep::RuleApp, "focus-own-val", Base->str(), nullptr,
-                {}, false});
+        recordBuiltin(BuiltinStep::FocusOwnVal, Base->str());
         Chased = true;
         break;
       }
@@ -780,24 +693,12 @@ bool Engine::flushPending(bool Final) {
       ++I;
       continue;
     }
-    pure::SolveResult R = Solver.prove(Gamma, Phi, Evars);
-    if (R.Proved) {
-      std::vector<TermRef> RHyps;
-      for (TermRef H : Gamma)
-        RHyps.push_back(Evars.resolve(H));
-      TermRef RProp = Evars.resolve(Phi);
-      record({DerivStep::SideCond, R.Engine, RProp->str(), RProp,
-              std::move(RHyps), R.Manual});
-      if (R.Manual)
-        ++Stats.SideCondManual;
-      else
-        ++Stats.SideCondAuto;
+    if (trySideCond(Phi)) {
       Pending.erase(Pending.begin() + I);
       continue;
     }
     if (Ground || Final) {
-      record({DerivStep::SideCond, "failed", Evars.resolve(Phi)->str(),
-              nullptr, {}, false});
+      recordFailed(Phi);
       fail("Cannot prove side condition!\nGoal: " + resolve(Phi)->str(), Loc);
       return false;
     }
@@ -807,21 +708,65 @@ bool Engine::flushPending(bool Final) {
 }
 
 bool Engine::solveSideCond(TermRef Phi, rcc::SourceLoc Loc) {
-  pure::SolveResult R = Solver.prove(Gamma, Phi, Evars);
-  if (!R.Proved) {
+  if (!trySideCond(Phi)) {
     // Postpone conditions that still mention unbound evars: the evars are
     // typically determined by the subsumptions that follow (Section 5).
     if (containsEVar(Evars.resolve(Phi))) {
-      record({DerivStep::Intro, "postpone", Evars.resolve(Phi)->str(),
-              nullptr, {}, false});
+      recordPostponed(Phi);
       Pending.push_back({Phi, Loc});
       return true;
     }
-    record({DerivStep::SideCond, "failed", Evars.resolve(Phi)->str(), nullptr,
-            {}, false});
+    recordFailed(Phi);
     fail("Cannot prove side condition!\nGoal: " + resolve(Phi)->str(), Loc);
     return false;
   }
+  // Solving may have instantiated evars; postponed conditions may now be
+  // ground (and must then hold).
+  return flushPending(/*Final=*/false);
+}
+
+//===----------------------------------------------------------------------===//
+// Certificate writer
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Indexed by BuiltinStep.
+const std::string BuiltinStepNames[] = {
+    "unfold-named",    "focus-own",    "focus-own-val",
+    "WAND-INTRO-GOAL", "O-ARRAY-READ", "O-ARRAY-WRITE"};
+} // namespace
+
+const std::string &rcc::lithium::builtinStepName(BuiltinStep S) {
+  return BuiltinStepNames[static_cast<size_t>(S)];
+}
+
+bool rcc::lithium::isBuiltinStep(const std::string &Name) {
+  return std::find(std::begin(BuiltinStepNames), std::end(BuiltinStepNames),
+                   Name) != std::end(BuiltinStepNames);
+}
+
+void Engine::recordRule(const std::string &Name, std::string Text) {
+  countRule(Name);
+  record({DerivStep::RuleApp, Name, std::move(Text), nullptr, {}, false});
+}
+
+void Engine::recordBuiltin(BuiltinStep S, std::string Text) {
+  record({DerivStep::RuleApp, builtinStepName(S), std::move(Text), nullptr, {},
+          false});
+}
+
+void Engine::recordAtom(const char *Name, std::string Text) {
+  record({DerivStep::AtomMatch, Name, std::move(Text), nullptr, {}, false});
+}
+
+bool Engine::trySideCond(TermRef Phi) {
+  pure::SolveResult R = Solver.prove(Gamma, Phi, Evars);
+  if (!R.Proved)
+    return false;
+  if (R.Manual)
+    ++Stats.SideCondManual;
+  else
+    ++Stats.SideCondAuto;
   // Record the *resolved* proposition and hypotheses so the proof checker
   // can replay the step without the (since-instantiated) evars.
   std::vector<TermRef> RHyps;
@@ -831,13 +776,17 @@ bool Engine::solveSideCond(TermRef Phi, rcc::SourceLoc Loc) {
   TermRef RProp = Evars.resolve(Phi);
   record({DerivStep::SideCond, R.Engine, RProp->str(), RProp,
           std::move(RHyps), R.Manual});
-  if (R.Manual)
-    ++Stats.SideCondManual;
-  else
-    ++Stats.SideCondAuto;
-  // Solving may have instantiated evars; postponed conditions may now be
-  // ground (and must then hold).
-  return flushPending(/*Final=*/false);
+  return true;
+}
+
+void Engine::recordPostponed(TermRef Phi) {
+  record({DerivStep::Intro, "postpone", Evars.resolve(Phi)->str(), nullptr,
+          {}, false});
+}
+
+void Engine::recordFailed(TermRef Phi) {
+  record({DerivStep::SideCond, std::string(FailedSideCond),
+          Evars.resolve(Phi)->str(), nullptr, {}, false});
 }
 
 //===----------------------------------------------------------------------===//
@@ -941,8 +890,7 @@ bool Engine::prove(GoalRef G) {
           auto SavedP = Pending;
           bool SavedV = Vacuous;
           pure::EvarEnv SavedE = Evars;
-          ++Stats.RuleApps;
-          Stats.RulesUsed.insert(Cands[I]->Name);
+          countRule(Cands[I]->Name);
           GoalRef Next;
           {
             trace::Span RuleSpan(trace::Category::Rule, Cands[I]->Name);
@@ -972,9 +920,7 @@ bool Engine::prove(GoalRef G) {
         fail(Err, G->J->Loc);
         return false;
       }
-      ++Stats.RuleApps;
-      Stats.RulesUsed.insert(R->Name);
-      record({DerivStep::RuleApp, R->Name, G->J->str(), nullptr, {}, false});
+      recordRule(R->Name, G->J->str());
       GoalRef Next;
       {
         trace::Span RuleSpan(trace::Category::Rule, R->Name);
@@ -1018,8 +964,7 @@ bool Engine::proveStar(const ResList &H, GoalRef Next, GoalRef &Out) {
     if (Ty->K == refinedc::TypeKind::Wand) {
       ResAtom Hole = ResAtom::loc(Ty->WandLoc, Ty->Children[1]);
       ResAtom Result = ResAtom::loc(A.Subject, Ty->Children[0]);
-      record({DerivStep::RuleApp, "WAND-INTRO-GOAL", A.str(), nullptr, {},
-              false});
+      recordBuiltin(BuiltinStep::WandIntroGoal, A.str());
       Out = gWand({Hole}, gStar({Result}, Cont));
       return true;
     }

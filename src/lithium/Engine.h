@@ -35,16 +35,17 @@
 #include "pure/Solver.h"
 #include "trace/Trace.h"
 
-#include <atomic>
 #include <deque>
 #include <map>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
 namespace rcc::lithium {
 
 class Engine;
+struct EngineStats;
 
 /// Number of TypeKind constructors, for sizing dispatch dimensions.
 /// TypeKind::Any is the last enumerator (Types.h keeps it last).
@@ -71,9 +72,10 @@ inline constexpr uint32_t NumTypeKinds =
 /// which is exactly the pre-index behaviour (and what a default-constructed
 /// key gives, so keyless registrations stay valid).
 ///
-/// Contract (checked by the CrossCheck dispatch mode over the case-study
-/// corpus): the key must OVER-approximate Matches — whenever Matches(E, J)
-/// holds, the key must cover discriminatorOf(J) — and Matches must be PURE
+/// Contract (checked by test_dispatch_equiv, which compares Indexed and
+/// Linear derivations over the case-study corpus): the key must
+/// OVER-approximate Matches — whenever Matches(E, J) holds, the key must
+/// cover discriminatorOf(J) — and Matches must be PURE
 /// (no Engine mutation): the index skips guard evaluations per goal and the
 /// subsumption memo skips them across goals, so an effectful guard would
 /// make dispatch observable in the derivation.
@@ -144,9 +146,8 @@ class RuleRegistry {
 public:
   /// How lookups assemble their candidate set. Indexed is the production
   /// path; Linear is the pre-index full scan (kept as the measurement
-  /// baseline and the equivalence oracle); CrossCheck runs both per lookup
-  /// and counts disagreements (test-only — guards run twice).
-  enum class DispatchMode : uint8_t { Indexed, Linear, CrossCheck };
+  /// baseline and the equivalence oracle).
+  enum class DispatchMode : uint8_t { Indexed, Linear };
 
   /// Registers a rule. A duplicate rule name is a hard error (diagnosed
   /// abort): names key derivation replay and profile attribution, and a
@@ -178,11 +179,6 @@ public:
 
   void setMode(DispatchMode M) { Mode = M; }
   DispatchMode mode() const { return Mode; }
-  /// Lookups where CrossCheck saw indexed and linear dispatch disagree
-  /// (selected rule, ambiguity, or lookupAll sequence). Must stay 0.
-  uint64_t crossCheckMismatches() const {
-    return XMismatch.load(std::memory_order_relaxed);
-  }
 
 private:
   struct KindTable {
@@ -198,10 +194,13 @@ private:
 
   /// The dispatch discriminator of a judgment (see RuleKey).
   static uint32_t discriminatorOf(const Judgment &J);
-  /// Calls Fn on each candidate for discriminator D — the D-bucket merged
-  /// with the wildcard list in registration (Seq) order.
+  /// Calls Fn, in registration (Seq) order, on each rule of \p T the mode
+  /// considers for \p J: every rule (Linear), or the discriminator's bucket
+  /// merged with the wildcard list (Indexed, which also counts the lookup
+  /// as an index hit or a scan fallback in \p ES).
   template <typename F>
-  static void forEachCandidate(const KindTable &T, uint32_t D, F &&Fn);
+  void forEachCandidate(const KindTable &T, const Judgment &J,
+                        EngineStats &ES, F &&Fn) const;
 
   std::map<JudgKind, KindTable> Kinds;
   /// Name index maintained by add(); keeps hasRule O(1) in the number of
@@ -210,7 +209,6 @@ private:
   size_t NumRulesTotal = 0;
   unsigned NextSeq = 0;
   DispatchMode Mode = DispatchMode::Indexed;
-  mutable std::atomic<uint64_t> XMismatch{0};
   /// Cached fingerprint (0 = recompute); add() invalidates.
   mutable uint64_t Fp = 0;
 };
@@ -229,6 +227,27 @@ struct DerivStep {
 struct Derivation {
   std::vector<DerivStep> Steps;
 };
+
+/// The RuleApp steps recorded outside the rule registry: the engine's
+/// built-in transformations and the array-cell rules O-ARRAY-READ/WRITE,
+/// which fire inside T-USE/T-ASSIGN rather than through dispatch. Declared
+/// once, here, next to the recorders that write them: the proof checker
+/// accepts a RuleApp step iff its rule is registered or built in.
+enum class BuiltinStep : uint8_t {
+  UnfoldNamed,
+  FocusOwn,
+  FocusOwnVal,
+  WandIntroGoal,
+  ArrayRead,
+  ArrayWrite,
+};
+/// The recorded rule name of \p S.
+const std::string &builtinStepName(BuiltinStep S);
+/// True if \p Name is the recorded name of a BuiltinStep.
+bool isBuiltinStep(const std::string &Name);
+/// The rule name of the SideCond step that marks a condition which did not
+/// prove; the proof checker rejects any derivation that contains one.
+inline constexpr std::string_view FailedSideCond = "failed";
 
 struct EngineStats {
   unsigned RuleApps = 0;
@@ -329,6 +348,16 @@ public:
   /// and all postponed conditions are re-checked before the goal closes.
   bool solveSideCond(TermRef Phi, rcc::SourceLoc Loc);
 
+  // --- Certificate writer: the only producers of derivation steps (the
+  // engine-internal ones are private below) ---
+  /// Records an application of rule \p Name to \p Text and counts it in the
+  /// figure-7 statistics (RuleApps, RulesUsed).
+  void recordRule(const std::string &Name, std::string Text);
+  /// Tries to prove \p Phi under Γ without failing. On success, counts it as
+  /// an automatic or manual side condition and records the resolved
+  /// proposition with the resolved hypotheses, for replay.
+  bool trySideCond(TermRef Phi);
+
   /// Pending (postponed) side conditions of the current branch.
   std::vector<std::pair<TermRef, rcc::SourceLoc>> Pending;
   /// Re-attempts pending conditions; when \p Final, all must prove.
@@ -355,13 +384,25 @@ public:
   /// Renders Γ and Δ (for error messages, per Section 2.1's example).
   std::vector<std::string> renderContext() const;
 
+private:
+  bool proveStar(const ResList &H, GoalRef Next, GoalRef &Out);
+
   void record(DerivStep S) {
     if (Deriv)
       Deriv->Steps.push_back(std::move(S));
   }
-
-private:
-  bool proveStar(const ResList &H, GoalRef Next, GoalRef &Out);
+  void countRule(const std::string &Name) {
+    ++Stats.RuleApps;
+    Stats.RulesUsed.insert(Name);
+  }
+  /// Records a built-in RuleApp step (not counted as a rule application).
+  void recordBuiltin(BuiltinStep S, std::string Text);
+  /// Records an atom taken out of Δ by the transformation \p Name.
+  void recordAtom(const char *Name, std::string Text);
+  /// Markers of a side condition that did not prove: postponed while it
+  /// still mentions unbound evars, or failed.
+  void recordPostponed(TermRef Phi);
+  void recordFailed(TermRef Phi);
 
   const RuleRegistry &Rules;
   pure::PureSolver &Solver;

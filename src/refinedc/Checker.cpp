@@ -33,14 +33,11 @@ Checker::Checker(const front::AnnotatedProgram &AP,
   registerStandardRules(Rules);
   // Dispatch-mode override for benchmarking and equivalence testing:
   // "linear" restores the pre-index full scan (scripts/bench_engine.sh uses
-  // it as the baseline), "crosscheck" runs both paths per lookup and counts
-  // disagreements. Results are identical in every mode by construction.
-  if (const char *D = std::getenv("RCC_DISPATCH")) {
-    if (std::strcmp(D, "linear") == 0)
-      Rules.setMode(lithium::RuleRegistry::DispatchMode::Linear);
-    else if (std::strcmp(D, "crosscheck") == 0)
-      Rules.setMode(lithium::RuleRegistry::DispatchMode::CrossCheck);
-  }
+  // it as the baseline). Results are identical in both modes by
+  // construction.
+  const char *D = std::getenv("RCC_DISPATCH");
+  if (D && std::strcmp(D, "linear") == 0)
+    Rules.setMode(lithium::RuleRegistry::DispatchMode::Linear);
 }
 
 Checker::~Checker() {
@@ -464,8 +461,8 @@ FnResult Checker::verifyFunction(const std::string &Name,
     if (T == "multiset_solver" || T == "set_solver")
       Solver.enableSolver(T);
   }
-  for (const auto &[LName, LProp, LLines] : Spec->Lemmas)
-    Solver.addLemma({LName, LProp, LLines});
+  for (const pure::Lemma &L : Spec->Lemmas)
+    Solver.addLemma(L);
 
   // Per-job diagnostics: loop-invariant parse errors surface through
   // FnResult::Error, never through the session's DiagnosticEngine (which
@@ -615,14 +612,15 @@ FnResult Checker::verifyFunction(const std::string &Name,
   // independent ProofChecker. The backtracking baseline's derivations are
   // not replayable (rolled-back steps are not recorded as such).
   if (Opts.Recheck && Res.Verified && !Opts.Backtracking) {
-    std::vector<pure::Lemma> Lemmas;
-    for (const auto &[LN, LP, LL] : Spec->Lemmas)
-      Lemmas.push_back({LN, LP, LL});
-    ProofChecker PC(Rules);
     Res.Rechecked = true;
-    Res.RecheckOk = PC.check(Res.Deriv, Lemmas).Ok;
+    Res.RecheckOk = replays(Res.Deriv, Spec.get());
   }
   return Res;
+}
+
+bool Checker::replays(const lithium::Derivation &D, const FnSpec *Spec) const {
+  static const std::vector<pure::Lemma> NoLemmas;
+  return ProofChecker(Rules).check(D, Spec ? Spec->Lemmas : NoLemmas).Ok;
 }
 
 uint64_t Checker::fnContentHash(const std::string &Name,
@@ -711,8 +709,8 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
     // source, never from the entry: an entry whose Trusted bit disagrees
     // with the spec is dropped and the function verified afresh.
     auto SIt = Env.FnSpecs.find(Name);
-    const bool TrustMe = SIt != Env.FnSpecs.end() && SIt->second->TrustMe;
-    if (R.Trusted != TrustMe) {
+    const FnSpec *Spec = SIt != Env.FnSpecs.end() ? SIt->second.get() : nullptr;
+    if (R.Trusted != (Spec && Spec->TrustMe)) {
       Persistent->drop(Name, Key);
       return false;
     }
@@ -723,12 +721,7 @@ bool Checker::probeStore(const std::string &Name, uint64_t Key,
                              std::string("store.") + Persistent->tierName() +
                                  ".replay");
       auto T0 = std::chrono::steady_clock::now();
-      std::vector<pure::Lemma> Lemmas;
-      if (SIt != Env.FnSpecs.end())
-        for (const auto &[LN, LP, LL] : SIt->second->Lemmas)
-          Lemmas.push_back({LN, LP, LL});
-      ProofChecker PC(Rules);
-      bool Ok = PC.check(R.Deriv, Lemmas).Ok;
+      bool Ok = replays(R.Deriv, Spec);
       auto T1 = std::chrono::steady_clock::now();
       RS.ReplayUs.fetch_add(
           static_cast<uint64_t>(

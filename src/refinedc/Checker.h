@@ -131,10 +131,10 @@ public:
   const pure::PureSolver &solver() const { return SolverProto; }
 
   /// Selects how rule lookups assemble candidates (Indexed by default; see
-  /// RuleRegistry::DispatchMode). Every mode selects the same rules — the
-  /// dispatch-equivalence property test runs the corpus in CrossCheck to
-  /// prove it — so no cache invalidation is needed. Also settable via the
-  /// RCC_DISPATCH environment variable ("linear" / "crosscheck").
+  /// RuleRegistry::DispatchMode). Both modes select the same rules — the
+  /// dispatch-equivalence property test compares their derivations over
+  /// the corpus — so no cache invalidation is needed. Also settable via the
+  /// RCC_DISPATCH environment variable ("linear").
   void setDispatchMode(lithium::RuleRegistry::DispatchMode M) {
     Rules.setMode(M);
   }
@@ -193,6 +193,11 @@ private:
   bool probeStore(const std::string &Name, uint64_t Key,
                   const VerifyOptions &Opts, FnResult &Out, StoreHit &Hit,
                   RunStoreStats &RS);
+
+  /// Replays \p D through a fresh ProofChecker with the lemmas of \p Spec
+  /// (none when null): the one replay setup behind both the recheck of a
+  /// search and the validation of a persistent hit.
+  bool replays(const lithium::Derivation &D, const FnSpec *Spec) const;
 
   const front::AnnotatedProgram &AP;
   rcc::DiagnosticEngine &Diags;

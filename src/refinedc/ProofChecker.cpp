@@ -32,24 +32,23 @@ ProofCheckResult ProofChecker::check(const Derivation &D,
   for (const DerivStep &S : D.Steps) {
     switch (S.K) {
     case DerivStep::RuleApp:
-      // The rule must exist in the registry; built-in engine
-      // transformations are whitelisted.
-      if (S.Rule != "unfold-named" && S.Rule != "focus-own" &&
-          S.Rule != "focus-own-val" && S.Rule != "WAND-INTRO-GOAL" &&
-          S.Rule != "O-ARRAY-READ" && S.Rule != "O-ARRAY-WRITE" &&
-          !Rules.hasRule(S.Rule)) {
+      // The rule must exist in the registry or be one of the steps the
+      // engine declares as built in.
+      if (!Rules.hasRule(S.Rule) && !isBuiltinStep(S.Rule)) {
         R.Error = "derivation applies unknown rule '" + S.Rule + "'";
         return R;
       }
       ++R.RuleSteps;
       break;
     case DerivStep::SideCond: {
-      if (S.Rule == "failed") {
+      if (S.Rule == FailedSideCond) {
         R.Error = "derivation contains a failed side condition: " + S.Text;
         return R;
       }
-      if (!S.Prop)
-        break;
+      if (!S.Prop) {
+        R.Error = "side condition without a proposition: " + S.Text;
+        return R;
+      }
       pure::EvarEnv Env; // evars in recorded props are already resolved
       pure::SolveResult SR = Solver.prove(S.Hyps, S.Prop, Env);
       if (!SR.Proved) {

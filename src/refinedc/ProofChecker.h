@@ -8,8 +8,9 @@
 /// The foundational substitute described in DESIGN.md: the search engine is
 /// untrusted; every successful verification yields a Derivation, and this
 /// module replays it independently. It checks that (a) every applied rule
-/// exists in the registry, (b) every pure side condition re-proves from the
-/// hypotheses recorded at that step, and (c) the derivation is structurally
+/// exists in the registry or is a lithium::BuiltinStep, (b) every pure side
+/// condition carries a proposition that re-proves from the hypotheses
+/// recorded at that step, and (c) the derivation is structurally
 /// well-formed. Each `check` builds one fresh solver for the whole
 /// derivation: it runs the same solver code as the search, but shares no
 /// state with the search's solver, and its normalization memo lives and

@@ -165,21 +165,8 @@ bool addrOfValue(Engine &E, TermRef V, TypeRef T, TermRef &L,
   case TypeKind::Optional: {
     // Dereferencing an optional is fine when its refinement is provable
     // (e.g. under a `requires` that rules out NULL).
-    TermRef Phi = T->Refn ? T->Refn : mkTrue();
-    pure::SolveResult SR = E.solver().prove(E.Gamma, Phi, E.evars());
-    if (SR.Proved) {
-      if (SR.Manual)
-        ++E.stats().SideCondManual;
-      else
-        ++E.stats().SideCondAuto;
-      std::vector<TermRef> RHyps;
-      for (TermRef H : E.Gamma)
-        RHyps.push_back(E.evars().resolve(H));
-      E.record({lithium::DerivStep::SideCond, SR.Engine,
-                E.evars().resolve(Phi)->str(), E.evars().resolve(Phi),
-                std::move(RHyps), SR.Manual});
+    if (E.trySideCond(T->Refn ? T->Refn : mkTrue()))
       return addrOfValue(E, V, T->Children[0], L, Loc);
-    }
     E.fail("dereference of a possibly-NULL pointer (type " + T->str() +
                "); test it against NULL first",
            Loc);
@@ -490,10 +477,8 @@ void registerExprRules(RuleRegistry &R) {
                // i-th element of the refinement list.
                ArrayHit Hit;
                if (XP->Ord == caesium::MemOrder::NonAtomic && findArrayElem(E, L, XP->AccessSize, Hit)) {
-                 E.record({lithium::DerivStep::RuleApp, "O-ARRAY-READ",
-                           L->str(), nullptr, {}, false});
-                 ++E.stats().RuleApps;
-                 E.stats().RulesUsed.insert("O-ARRAY-READ");
+                 E.recordRule(builtinStepName(BuiltinStep::ArrayRead),
+                              L->str());
                  TermRef Xs = Hit.ArrTy->Refn;
                  if (!E.solveSideCond(mkLt(Hit.Index, mkLLen(Xs)), XP->Loc))
                    return nullptr;
@@ -544,10 +529,8 @@ void registerExprRules(RuleRegistry &R) {
                              XP->Loc);
                      return nullptr;
                    }
-                   E2.record({lithium::DerivStep::RuleApp, "O-ARRAY-WRITE",
-                              L->str(), nullptr, {}, false});
-                   ++E2.stats().RuleApps;
-                   E2.stats().RulesUsed.insert("O-ARRAY-WRITE");
+                   E2.recordRule(builtinStepName(BuiltinStep::ArrayWrite),
+                                 L->str());
                    TermRef Xs = Hit.ArrTy->Refn;
                    if (!E2.solveSideCond(mkLt(Hit.Index, mkLLen(Xs)),
                                          XP->Loc))

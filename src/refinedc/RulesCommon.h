@@ -67,9 +67,6 @@ ResList substResMap(ResList H, const std::map<std::string, TermRef> &Subst);
 /// Finds (without removing) a value atom for \p V; nullptr if absent.
 const ResAtom *findValAtom(Engine &E, TermRef V);
 
-/// Non-failing side-condition attempt (records stats only on success).
-bool trySideCond(Engine &E, TermRef Phi);
-
 } // namespace rcc::refinedc::rules
 
 #endif // RCC_REFINEDC_RULESCOMMON_H

@@ -74,23 +74,6 @@ const ResAtom *rcc::refinedc::rules::findValAtom(Engine &E, TermRef V) {
   return nullptr;
 }
 
-bool rcc::refinedc::rules::trySideCond(Engine &E, TermRef Phi) {
-  pure::SolveResult R = E.solver().prove(E.Gamma, Phi, E.evars());
-  if (!R.Proved)
-    return false;
-  if (R.Manual)
-    ++E.stats().SideCondManual;
-  else
-    ++E.stats().SideCondAuto;
-  std::vector<TermRef> RHyps;
-  for (TermRef H : E.Gamma)
-    RHyps.push_back(E.evars().resolve(H));
-  TermRef RProp = E.evars().resolve(Phi);
-  E.record({lithium::DerivStep::SideCond, R.Engine, RProp->str(), RProp,
-            std::move(RHyps), R.Manual});
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Integer operator helpers
 //===----------------------------------------------------------------------===//
@@ -384,7 +367,7 @@ static void registerBinOpRules(RuleRegistry &R) {
          [](Engine &E, const Judgment &J) -> GoalRef {
            TypeRef T1 = stripC(E, J.T1);
            TermRef Phi = T1->Refn ? T1->Refn : mkTrue();
-           if (!trySideCond(E, Phi)) {
+           if (!E.trySideCond(Phi)) {
              E.fail("pointer arithmetic on a possibly-NULL value (type " +
                         T1->str() + "); test it against NULL first",
                     J.Loc);

@@ -544,11 +544,11 @@ void registerLocOnly(RuleRegistry &R) {
          [](Engine &E, const Judgment &J) -> GoalRef {
            TypeRef A = stripC(E, J.T1), B = stripC(E, J.T2);
            TermRef M = A->Size, N = B->Size;
-           if (trySideCond(E, mkEq(M, N)))
+           if (E.trySideCond(mkEq(M, N)))
              return J.KGoal;
            // Shrink: the block in hand is larger; the tail stays in Δ
            // (this is the front-of-buffer alloc variant of Section 6).
-           if (trySideCond(E, mkLe(N, M))) {
+           if (E.trySideCond(mkLe(N, M))) {
              E.pushAtom(ResAtom::loc(locOffset(J.V1, E.resolve(N)),
                                      tyUninit(E.resolve(mkSub(M, N)))));
              return J.KGoal;
@@ -579,7 +579,7 @@ void registerLocOnly(RuleRegistry &R) {
            TypeRef A = stripC(E, J.T1), B = stripC(E, J.T2);
            uint64_t Sz = knownByteSize(A);
            TermRef M = mkNat(static_cast<int64_t>(Sz));
-           if (trySideCond(E, mkEq(M, B->Size)))
+           if (E.trySideCond(mkEq(M, B->Size)))
              return J.KGoal;
            ResList Need = {
                ResAtom::pure(mkLe(M, B->Size)),

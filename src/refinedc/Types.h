@@ -36,6 +36,7 @@
 
 #include "caesium/Layout.h"
 #include "pure/EvarEnv.h"
+#include "pure/Solver.h"
 #include "pure/Term.h"
 #include "support/SourceLoc.h"
 
@@ -134,7 +135,7 @@ struct FnSpec {
   std::vector<std::string> Tactics; ///< extra solvers (rc::tactics)
   bool TrustMe = false;             ///< assume, do not verify (rc::trust_me)
   /// Manual lemmas (rc::lemma): name, proposition, modeled pure-proof lines.
-  std::vector<std::tuple<std::string, TermRef, unsigned>> Lemmas;
+  std::vector<pure::Lemma> Lemmas;
 };
 
 /// A user-defined named type (from struct/typedef annotations); body may

@@ -159,7 +159,21 @@ unsigned int inc(unsigned int x) { return x + 1; }
     ASSERT_TRUE(Tampered);
     EXPECT_FALSE(PC.check(D).Ok);
   }
-  // Tamper 3: an empty derivation claims nothing.
+  // Tamper 3: a side condition stripped of its proposition (what a store
+  // entry with zeroed term refs deserializes to) proves nothing.
+  {
+    Derivation D = R.Deriv;
+    bool Tampered = false;
+    for (DerivStep &S : D.Steps)
+      if (S.K == DerivStep::SideCond && S.Prop) {
+        S.Prop = nullptr;
+        Tampered = true;
+        break;
+      }
+    ASSERT_TRUE(Tampered);
+    EXPECT_FALSE(PC.check(D).Ok);
+  }
+  // Tamper 4: an empty derivation claims nothing.
   EXPECT_FALSE(PC.check(Derivation()).Ok);
 }
 

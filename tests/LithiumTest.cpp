@@ -445,18 +445,6 @@ TEST_F(EngineFixture, SubsumeDispatchMemoHitsOnRepeatedShapePair) {
                                    "must be answered by the memo";
 }
 
-TEST_F(EngineFixture, CrossCheckModeAgreesOnStandardRules) {
-  Rules.setMode(RuleRegistry::DispatchMode::CrossCheck);
-  Judgment J;
-  J.K = JudgKind::SubsumeV;
-  J.V1 = loc("v");
-  J.T1 = tyInt(caesium::intU64(), mkNat(3));
-  J.T2 = tyInt(caesium::intU64(), mkNat(3));
-  J.KGoal = gTrue();
-  EXPECT_TRUE(E->prove(gJudg(std::move(J))));
-  EXPECT_EQ(Rules.crossCheckMismatches(), 0u);
-}
-
 TEST_F(BareEngineFixture, FingerprintChangesWithKeysAndRules) {
   auto Always = [](Engine &, const Judgment &) { return true; };
   auto Id = [](Engine &, const Judgment &J) { return J.KGoal; };
